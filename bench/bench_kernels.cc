@@ -1,6 +1,7 @@
 // Per-kernel microbenchmarks of the SIMD tensor layer (DESIGN.md §14):
-// the GEMM at the exact shapes the default towers run (ModelConfig
-// hidden_dims {64, 32} on the AE-ES schema at batch 1024), the vectorized
+// the GEMM and both of its backward products at the exact shapes the
+// default towers run (ModelConfig hidden_dims {64, 32} on the AE-ES schema
+// at batch 1024), the vectorized
 // elementwise family, and each fused op next to the unfused composite it
 // replaces — so BENCH_engine.json reports the fusion win per kernel.
 //
@@ -27,7 +28,7 @@ constexpr int kBatch = 1024;
 int TowerInputWidth() {
   static const int width = [] {
     const data::FeatureSchema schema =
-        data::SyntheticLogGenerator(data::AeEsProfile()).GenerateTrain().schema();
+        data::SyntheticLogGenerator(data::AeEsProfile()).Schema();
     return static_cast<int>(schema.deep_fields.size()) *
            models::ModelConfig().embedding_dim;
   }();
@@ -62,6 +63,60 @@ void BM_MatMulTowerHead(benchmark::State& state) {
   TowerMatMul(state, kBatch, 32, 1);
 }
 BENCHMARK(BM_MatMulTowerHead);
+
+// --- Backward GEMMs at the tower shapes --------------------------------------
+// Each row runs MatMul's backward closure for one gradient only (the other
+// operand does not require grad): dA += dC·Bᵀ or dB += Aᵀ·dC. The graph is
+// built once and Backward() re-run per iteration (gradients keep
+// accumulating, which the kernels do anyway); the WeightedSum node above the
+// matmul hands it a fixed upstream gradient at O(m·n) extra cost. Items are
+// multiply-adds, so items_per_second reads as MACs/s.
+
+void TowerMatMulGrad(benchmark::State& state, int m, int k, int n,
+                     bool grad_a) {
+  Rng rng(7);
+  Tensor a = Tensor::Randn(m, k, 1.0f, &rng, /*requires_grad=*/grad_a);
+  Tensor b = Tensor::Randn(k, n, 1.0f, &rng, /*requires_grad=*/!grad_a);
+  const Tensor dc = Tensor::Randn(m, n, 1.0f, &rng);
+  Tensor loss = ops::WeightedSum(ops::MatMul(a, b), dc);
+  for (auto _ : state) {
+    loss.Backward();
+    benchmark::DoNotOptimize(grad_a ? a.grad() : b.grad());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
+                          k * n);
+}
+
+void BM_MatMulGradATowerLayer1(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, TowerInputWidth(), 64, /*grad_a=*/true);
+}
+BENCHMARK(BM_MatMulGradATowerLayer1);
+
+void BM_MatMulGradBTowerLayer1(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, TowerInputWidth(), 64, /*grad_a=*/false);
+}
+BENCHMARK(BM_MatMulGradBTowerLayer1);
+
+void BM_MatMulGradATowerLayer2(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, 64, 32, /*grad_a=*/true);
+}
+BENCHMARK(BM_MatMulGradATowerLayer2);
+
+void BM_MatMulGradBTowerLayer2(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, 64, 32, /*grad_a=*/false);
+}
+BENCHMARK(BM_MatMulGradBTowerLayer2);
+
+void BM_MatMulGradATowerHead(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, 32, 1, /*grad_a=*/true);
+}
+BENCHMARK(BM_MatMulGradATowerHead);
+
+void BM_MatMulGradBTowerHead(benchmark::State& state) {
+  TowerMatMulGrad(state, kBatch, 32, 1, /*grad_a=*/false);
+}
+BENCHMARK(BM_MatMulGradBTowerHead);
 
 // --- Vectorized elementwise family -------------------------------------------
 

@@ -23,7 +23,8 @@ namespace obs {
 //   * Counters and sums shard their storage across a small set of
 //     cache-line-padded per-thread slots, so concurrent recording from pool
 //     workers never contends on one line. Aggregation happens only at
-//     export time, through core::ParallelFor.
+//     export time, serially (a ParallelFor there would register the pool's
+//     own counters mid-export).
 //   * Trace spans append to a per-thread buffer (bounded; overflow is
 //     counted, never blocks) and are flushed on demand as JSON lines.
 //
@@ -248,7 +249,7 @@ class Registry {
   /// Prometheus-style text exposition: `# TYPE` lines plus one sample line
   /// per metric (histograms expand to cumulative `_bucket{le=...}` samples,
   /// `_sum`, `_count`, and a `_nonfinite_total` counter), sorted by metric
-  /// name. Per-metric rendering is fanned out through core::ParallelFor.
+  /// name. Rendering is serial, so exporting never touches the thread pool.
   std::string RenderPrometheus();
 
   /// All buffered trace spans as JSON lines, sorted by (tid, seq).

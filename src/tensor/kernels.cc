@@ -173,56 +173,104 @@ inline Vf VClamp(Vf x, float lo, float hi) {
 
 // --- GEMM ------------------------------------------------------------------
 
-/// One register tile: MR rows x 16 columns of C for a full K sweep over one
-/// packed panel. Each of the 2*MR accumulators is a single sequential FMA
-/// chain over ascending p; the chain is textually identical in every MR
-/// instantiation, so a given output row is computed bit-identically whether
-/// it lands in a full 6-row tile or any remainder tile — which is what makes
-/// GemmRowsPacked invariant to the caller's row partition.
-template <int MR>
-inline void MicroKernel(const float* a, int lda, const float* panel, int k,
-                        float* c, int ldc, int jn) {
+/// Loads the first `n` (1..kSimdWidth) floats, zero-filling the rest.
+inline Vf LoadLanes(const float* p, int n) {
+  return n == kSimdWidth ? LoadV(p) : LoadPartial(p, n);
+}
+
+/// Writes the first `n` (0..kSimdWidth) lanes of `v` to p, or adds them to
+/// what p holds when kAccumulate.
+template <bool kAccumulate>
+inline void StoreLanes(float* p, Vf v, int n) {
+  if (n == kSimdWidth) {
+    StoreV(p, kAccumulate ? LoadV(p) + v : v);
+  } else if (n > 0) {
+    StorePartial(p, kAccumulate ? LoadPartial(p, n) + v : v, n);
+  }
+}
+
+/// One register tile: MR rows x 16 columns of output for a full sweep of the
+/// reduction over one packed panel. Element (r, p) of the row operand lives
+/// at a[r * rs + p * ps], so one kernel reads A for the forward product
+/// (rs = k, ps = 1), dC for dA (rs = n, ps = 1) and A as Aᵀ for dB (rs = 1,
+/// ps = k) without materializing a transpose.
+///
+/// Each of the 2*MR accumulators is a single sequential FMA chain over
+/// ascending p, textually identical in every MR instantiation, so an output
+/// row is bit-identical whether it lands in a full 6-row tile or any
+/// remainder tile — which is what makes every GEMM entry point invariant to
+/// the caller's row partition. The finished chain overwrites c, or with
+/// kAccumulate is added to it in one add (autograd's += contract).
+template <int MR, bool kAccumulate>
+inline void MicroKernel(const float* a, std::size_t rs, std::size_t ps,
+                        const float* panel, int kred, float* c, int ldc,
+                        int jn) {
   Vf acc0[MR], acc1[MR];
   for (int r = 0; r < MR; ++r) {
     acc0[r] = Vf{};
     acc1[r] = Vf{};
   }
-  for (int p = 0; p < k; ++p) {
-    const Vf b0 = LoadV(panel + static_cast<std::size_t>(p) * kGemmColTile);
-    const Vf b1 =
-        LoadV(panel + static_cast<std::size_t>(p) * kGemmColTile + kSimdWidth);
+  for (int p = 0; p < kred; ++p, a += ps, panel += kGemmColTile) {
+    const Vf b0 = LoadV(panel);
+    const Vf b1 = LoadV(panel + kSimdWidth);
     for (int r = 0; r < MR; ++r) {
-      const Vf av = Splat(a[static_cast<std::size_t>(r) * lda + p]);
+      const Vf av = Splat(a[r * rs]);
       acc0[r] += av * b0;
       acc1[r] += av * b1;
     }
   }
   const int j0n = std::min(jn, kSimdWidth);
-  const int j1n = jn - j0n;
   for (int r = 0; r < MR; ++r) {
     float* crow = c + static_cast<std::size_t>(r) * ldc;
-    if (j0n == kSimdWidth) {
-      StoreV(crow, acc0[r]);
-    } else {
-      StorePartial(crow, acc0[r], j0n);
-    }
-    if (j1n == kSimdWidth) {
-      StoreV(crow + kSimdWidth, acc1[r]);
-    } else if (j1n > 0) {
-      StorePartial(crow + kSimdWidth, acc1[r], j1n);
-    }
+    StoreLanes<kAccumulate>(crow, acc0[r], j0n);
+    StoreLanes<kAccumulate>(crow + kSimdWidth, acc1[r], jn - j0n);
   }
 }
 
-template <int MR>
-inline void GemmRowBlock(const float* a, const float* packed, float* c, int k,
-                         int n) {
-  const int panels = (n + kGemmColTile - 1) / kGemmColTile;
+template <int MR, bool kAccumulate>
+inline void GemmRowBlock(const float* a, std::size_t rs, std::size_t ps,
+                         const float* packed, int kred, float* c, int ncols) {
+  const int panels = (ncols + kGemmColTile - 1) / kGemmColTile;
   for (int pj = 0; pj < panels; ++pj) {
     const float* panel =
-        packed + static_cast<std::size_t>(pj) * k * kGemmColTile;
-    const int jn = std::min(kGemmColTile, n - pj * kGemmColTile);
-    MicroKernel<MR>(a, k, panel, k, c + pj * kGemmColTile, n, jn);
+        packed + static_cast<std::size_t>(pj) * kred * kGemmColTile;
+    const int jn = std::min(kGemmColTile, ncols - pj * kGemmColTile);
+    MicroKernel<MR, kAccumulate>(a, rs, ps, panel, kred,
+                                 c + pj * kGemmColTile, ncols, jn);
+  }
+}
+
+/// Output rows [i0, i1) of a product whose right operand is packed over
+/// `kred` reduction steps into `ncols` columns; row i of the row operand
+/// starts at a + i * rs.
+template <bool kAccumulate>
+void GemmRows(const float* a, std::size_t rs, std::size_t ps,
+              const float* packed, int kred, float* c, int ncols,
+              std::int64_t i0, std::int64_t i1) {
+  std::int64_t i = i0;
+  for (; i + kGemmRowTile <= i1; i += kGemmRowTile) {
+    GemmRowBlock<kGemmRowTile, kAccumulate>(a + i * rs, rs, ps, packed, kred,
+                                            c + i * ncols, ncols);
+  }
+  const float* ai = a + i * rs;
+  float* ci = c + i * ncols;
+  switch (static_cast<int>(i1 - i)) {
+    case 1:
+      GemmRowBlock<1, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      break;
+    case 2:
+      GemmRowBlock<2, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      break;
+    case 3:
+      GemmRowBlock<3, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      break;
+    case 4:
+      GemmRowBlock<4, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      break;
+    case 5:
+      GemmRowBlock<5, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      break;
+    default: break;
   }
 }
 
@@ -247,60 +295,69 @@ void GemmPackB(const float* b, int k, int n, float* packed) {
   }
 }
 
+void GemmPackBT(const float* b, int k, int n, float* packed) {
+  const int panels = (k + kGemmColTile - 1) / kGemmColTile;
+  for (int pp = 0; pp < panels; ++pp) {
+    const int p0 = pp * kGemmColTile;
+    const int pn = std::min(kGemmColTile, k - p0);
+    float* dst = packed + static_cast<std::size_t>(pp) * n * kGemmColTile;
+    if (pn < kGemmColTile) {
+      std::fill(dst, dst + static_cast<std::size_t>(n) * kGemmColTile, 0.0f);
+    }
+    for (int c = 0; c < pn; ++c) {
+      const float* brow = b + static_cast<std::size_t>(p0 + c) * n;
+      for (int j = 0; j < n; ++j) dst[j * kGemmColTile + c] = brow[j];
+    }
+  }
+}
+
 void GemmRowsPacked(const float* a, const float* packed, float* c, int k,
                     int n, std::int64_t i0, std::int64_t i1) {
-  std::int64_t i = i0;
-  for (; i + kGemmRowTile <= i1; i += kGemmRowTile) {
-    GemmRowBlock<kGemmRowTile>(a + i * k, packed, c + i * n, k, n);
-  }
-  switch (static_cast<int>(i1 - i)) {
-    case 1: GemmRowBlock<1>(a + i * k, packed, c + i * n, k, n); break;
-    case 2: GemmRowBlock<2>(a + i * k, packed, c + i * n, k, n); break;
-    case 3: GemmRowBlock<3>(a + i * k, packed, c + i * n, k, n); break;
-    case 4: GemmRowBlock<4>(a + i * k, packed, c + i * n, k, n); break;
-    case 5: GemmRowBlock<5>(a + i * k, packed, c + i * n, k, n); break;
-    default: break;
-  }
+  GemmRows<false>(a, k, 1, packed, k, c, n, i0, i1);
 }
 
-void GemmGradARows(const float* dc, const float* b, float* da, int k, int n,
-                   std::int64_t i0, std::int64_t i1) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* grow = dc + i * n;
-    float* arow = da + i * k;
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      Vf acc = Vf{};
-      int j = 0;
-      for (; j + kSimdWidth <= n; j += kSimdWidth) {
-        acc += LoadV(grow + j) * LoadV(brow + j);
-      }
-      if (j < n) {
-        acc += LoadPartial(grow + j, n - j) * LoadPartial(brow + j, n - j);
-      }
-      arow[p] += HSum(acc);
-    }
-  }
+void GemmGradARowsPacked(const float* dc, const float* packed_bt, float* da,
+                         int k, int n, std::int64_t i0, std::int64_t i1) {
+  GemmRows<true>(dc, n, 1, packed_bt, n, da, k, i0, i1);
 }
 
-void GemmGradBRows(const float* a, const float* dc, float* db, int m, int k,
-                   int n, std::int64_t p0, std::int64_t p1) {
-  for (std::int64_t p = p0; p < p1; ++p) {
-    float* brow = db + p * n;
-    for (int i = 0; i < m; ++i) {
-      const Vf av = Splat(a[static_cast<std::size_t>(i) * k + p]);
-      const float* grow = dc + static_cast<std::size_t>(i) * n;
-      int j = 0;
-      for (; j + kSimdWidth <= n; j += kSimdWidth) {
-        StoreV(brow + j, LoadV(brow + j) + av * LoadV(grow + j));
-      }
-      if (j < n) {
-        const int r = n - j;
-        StorePartial(brow + j,
-                     LoadPartial(brow + j, r) + av * LoadPartial(grow + j, r),
-                     r);
+void GemmGradBRowsPacked(const float* a, const float* packed_dc, float* db,
+                         int m, int k, int n, std::int64_t p0,
+                         std::int64_t p1) {
+  GemmRows<true>(a, 1, k, packed_dc, m, db, n, p0, p1);
+}
+
+void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
+                       int k, std::int64_t p0, std::int64_t p1) {
+  // Lanes run over p; each lane is one FMA chain over ascending i, exactly
+  // the chain the tiled kernel would build for that dB element. The 4-vector
+  // block reads each A row once per 32 columns instead of once per 8 (over 2x
+  // on BM_MatMulGradBTowerHead, 4-core AVX-512 x86); the per-vector loop
+  // finishes the tail.
+  constexpr int kVecs = 4;
+  std::int64_t p = p0;
+  for (; p + kVecs * kSimdWidth <= p1; p += kVecs * kSimdWidth) {
+    Vf acc[kVecs] = {};
+    const float* ai = a + p;
+    for (int i = 0; i < m; ++i, ai += k) {
+      const Vf g = Splat(dc[i]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[v] += g * LoadV(ai + v * kSimdWidth);
       }
     }
+    for (int v = 0; v < kVecs; ++v) {
+      StoreLanes<true>(db + p + v * kSimdWidth, acc[v], kSimdWidth);
+    }
+  }
+  for (; p < p1; p += kSimdWidth) {
+    const int lanes =
+        static_cast<int>(std::min<std::int64_t>(kSimdWidth, p1 - p));
+    Vf acc = Vf{};
+    const float* ai = a + p;
+    for (int i = 0; i < m; ++i, ai += k) {
+      acc += Splat(dc[i]) * LoadLanes(ai, lanes);
+    }
+    StoreLanes<true>(db + p, acc, lanes);
   }
 }
 

@@ -22,10 +22,14 @@ namespace kernels {
 //    computed with the same vector code on zero-padded registers, so
 //    splitting [0,N) at ANY boundary (ParallelFor with any grain, including
 //    the grain-cap-1 test mode) reproduces the unsplit results bit for bit.
-//  * The GEMM micro-kernel gives each output element a single fused
-//    multiply-add chain over ascending k, identical in every row-tile
-//    variant, so C[i][j] is bit-identical regardless of how rows are
-//    chunked across threads or which row-remainder kernel computes row i.
+//  * Forward and both backward GEMMs run one register-tiled micro-kernel.
+//    It gives each output element a single fused multiply-add chain over
+//    the ascending reduction index (k forward, n for dA, m for dB),
+//    identical in every row-tile variant; the backward entry points then
+//    add the finished chain into the gradient in one add. So an output is
+//    bit-identical regardless of how rows are chunked across threads or
+//    which row-remainder kernel computes it. The n = 1 dB GEMV builds the
+//    same chain for each element.
 //  * Transcendentals (VExp/VLog inside) are polynomial implementations that
 //    agree with libm to a few ulp but are NOT bit-identical to libm; exact
 //    identities that tests rely on are preserved by construction:
@@ -54,16 +58,31 @@ void GemmPackB(const float* b, int k, int n, float* packed);
 void GemmRowsPacked(const float* a, const float* packed, float* c, int k,
                     int n, std::int64_t i0, std::int64_t i1);
 
-/// Accumulates rows [i0, i1) of dA += dC * B^T. B is the unpacked row-major
-/// operand (its rows are already contiguous for the dot products).
-void GemmGradARows(const float* dc, const float* b, float* da, int k, int n,
-                   std::int64_t i0, std::int64_t i1);
+// --- Backward GEMMs for C = A * B: dA += dC * B^T, dB += A^T * dC ---------
+// All accumulate into the gradient buffer and are safe to call concurrently
+// for disjoint row ranges.
 
-/// Accumulates rows [p0, p1) of dB += A^T * dC. Each dB element sees its m
-/// contributions in ascending-i order — the serial accumulation order — so
-/// the result is bit-identical at any row partition.
-void GemmGradBRows(const float* a, const float* dc, float* db, int m, int k,
-                   int n, std::int64_t p0, std::int64_t p1);
+/// Packs B^T (B row-major [k x n]) like GemmPackB packs a [n x k] matrix:
+/// packed[panel][j][0..15] holds B[16*panel .. 16*panel+15][j], zero-padded
+/// past row k. Needs GemmPackedSize(n, k) floats.
+void GemmPackBT(const float* b, int k, int n, float* packed);
+
+/// Accumulates rows [i0, i1) of dA += dC * B^T from GemmPackBT(B); dC is the
+/// row operand and the reduction runs over n.
+void GemmGradARowsPacked(const float* dc, const float* packed_bt, float* da,
+                         int k, int n, std::int64_t i0, std::int64_t i1);
+
+/// Accumulates rows [p0, p1) of dB += A^T * dC from GemmPackB(dC, m, n). The
+/// row operand is A read as A^T (A[i][p..p+6) is contiguous, so no
+/// transpose) and the reduction runs over m.
+void GemmGradBRowsPacked(const float* a, const float* packed_dc, float* db,
+                         int m, int k, int n, std::int64_t p0,
+                         std::int64_t p1);
+
+/// n = 1: entries [p0, p1) of the GEMV dB[p] += sum_i A[i][p] * dC[i], with
+/// SIMD lanes over p and i ascending. No packing.
+void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
+                       int k, std::int64_t p0, std::int64_t p1);
 
 // --- Elementwise maps over [i0, i1) of contiguous buffers ------------------
 // Forward kernels overwrite y; *Grad kernels ACCUMULATE into the gradient

@@ -224,17 +224,17 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
   return out;
 }
 
-/// Packs B into zero-padded column panels for the GEMM micro-kernel, reusing
-/// a per-thread scratch buffer (no allocation in the serving steady state).
-/// The returned pointer stays valid through the caller's ParallelFor: worker
-/// threads only read it, and MatMul never nests inside another MatMul.
-const float* PackB(const float* bd, int k, int n) {
+/// Per-thread scratch for the GEMM micro-kernel's packed right operand (no
+/// allocation in the serving or training steady state). A pointer stays
+/// valid through the caller's ParallelFor: worker threads only read it, and
+/// MatMul's forward and backward never nest inside another MatMul. Each call
+/// reuses the buffer, so one GEMM's packed operand is dead once the next is
+/// packed.
+float* PackScratch(std::int64_t floats) {
   thread_local std::vector<float> scratch;
-  const std::int64_t need = kernels::GemmPackedSize(k, n);
-  if (static_cast<std::int64_t>(scratch.size()) < need) {
-    scratch.resize(static_cast<std::size_t>(need));
+  if (static_cast<std::int64_t>(scratch.size()) < floats) {
+    scratch.resize(static_cast<std::size_t>(floats));
   }
-  kernels::GemmPackB(bd, k, n, scratch.data());
   return scratch.data();
 }
 
@@ -251,7 +251,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // zero-padded panels once, then row chunks run the register-tiled
   // micro-kernel. Output values are invariant to the row partition, so any
   // thread count produces identical bits.
-  const float* packed = PackB(b.data(), k, n);
+  float* packed = PackScratch(kernels::GemmPackedSize(k, n));
+  kernels::GemmPackB(b.data(), k, n, packed);
   ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
               [&](std::int64_t i0, std::int64_t i1) {
                 kernels::GemmRowsPacked(ad, packed, od, k, n, i0, i1);
@@ -261,30 +262,40 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, b_cap, self, m, k, n]() mutable {
       const float* og = self->EnsureGrad();
-      // dL/dA = dL/dOut * B^T  -> [m x k]. B's rows are contiguous, so the
-      // vectorized dot products already run over packed (transposed-B)
-      // memory; chunks own disjoint slabs of A's gradient rows.
+      // Both gradients run the forward's micro-kernel on an operand packed
+      // once here, before the ParallelFor. Every gradient element is one FMA
+      // chain over its ascending reduction index plus one add into the
+      // buffer, so the row partition (thread count) never changes a bit. At
+      // n = 1 dB skips packing for a GEMV (a 16-lane panel would be 15/16
+      // padding).
+      // dL/dA = dL/dOut * B^T -> [m x k]; chunks own disjoint rows of dA.
       if (a_cap.requires_grad()) {
         float* ag = a_cap.impl()->EnsureGrad();
-        const float* b_d = b_cap.data();
-        ParallelFor(
-            0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
-            [&](std::int64_t i0, std::int64_t i1) {
-              kernels::GemmGradARows(og, b_d, ag, k, n, i0, i1);
-            });
+        float* bt = PackScratch(kernels::GemmPackedSize(n, k));
+        kernels::GemmPackBT(b_cap.data(), k, n, bt);
+        ParallelFor(0, m,
+                    RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
+                    [&](std::int64_t i0, std::int64_t i1) {
+                      kernels::GemmGradARowsPacked(og, bt, ag, k, n, i0, i1);
+                    });
       }
-      // dL/dB = A^T * dL/dOut  -> [k x n]. Parallelized over B's gradient
-      // rows (the k dimension): each chunk owns bg rows [p0, p1) and scans
-      // all m samples, so every bg element accumulates its contributions in
-      // ascending-i order — the same order as the serial i-outer loop.
+      // dL/dB = A^T * dL/dOut -> [k x n]; chunks own disjoint rows of dB.
       if (b_cap.requires_grad()) {
         float* bg = b_cap.impl()->EnsureGrad();
         const float* a_d = a_cap.data();
-        ParallelFor(
-            0, k, RowGrain(kMatMulGrain, static_cast<std::int64_t>(m) * n),
-            [&](std::int64_t p0, std::int64_t p1) {
-              kernels::GemmGradBRows(a_d, og, bg, m, k, n, p0, p1);
-            });
+        const std::int64_t grain =
+            RowGrain(kMatMulGrain, static_cast<std::int64_t>(m) * n);
+        if (n == 1) {
+          ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
+            kernels::GemmGradBRowsGemv(a_d, og, bg, m, k, p0, p1);
+          });
+        } else {
+          float* dc = PackScratch(kernels::GemmPackedSize(m, n));
+          kernels::GemmPackB(og, m, n, dc);
+          ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
+            kernels::GemmGradBRowsPacked(a_d, dc, bg, m, k, n, p0, p1);
+          });
+        }
       }
     });
   }

@@ -6,8 +6,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "core/obs.h"
 #include "tensor/inference.h"
 
 #if defined(__GLIBC__)
@@ -229,6 +232,21 @@ void TopoSort(Tensor::Impl* node, std::unordered_set<const void*>* visited,
   }
 }
 
+/// `dcmt_op_backward_seconds_total{op="<tag>"}` for a node's op tag. Tags are
+/// string literals, so the handle is cached per tag pointer; the cache is
+/// per thread, so only a miss reaches the registry's lock.
+obs::Sum OpBackwardSeconds(const char* op) {
+  thread_local std::unordered_map<const char*, obs::Sum> handles;
+  auto it = handles.find(op);
+  if (it == handles.end()) {
+    const std::string name =
+        std::string("dcmt_op_backward_seconds_total{op=\"") +
+        (op != nullptr ? op : "untagged") + "\"}";
+    it = handles.emplace(op, obs::Registry::Global().sum(name)).first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 void Tensor::Backward() {
@@ -245,11 +263,20 @@ void Tensor::Backward() {
   // Seed d(loss)/d(loss) = 1.
   grad()[0] = 1.0f;
 
-  // Children come after parents in `order`, so walk it backwards.
+  // Children come after parents in `order`, so walk it backwards. With obs
+  // on, each closure is timed into its op tag's backward-seconds sum.
+  const bool profile = obs::Enabled();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Impl* node = *it;
     if (node->backward_fn && node->requires_grad) {
-      node->backward_fn();
+      if (profile) {
+        const std::int64_t start = obs::NowNanos();
+        node->backward_fn();
+        OpBackwardSeconds(node->op).Add(
+            static_cast<double>(obs::NowNanos() - start) * 1e-9);
+      } else {
+        node->backward_fn();
+      }
       node->backward_ran = true;
     }
   }

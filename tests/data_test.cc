@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <set>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -431,7 +434,9 @@ TEST(CsvTest, RoundTripPreservesEverything) {
   p.train_exposures = 500;
   data::SyntheticLogGenerator gen(p);
   const data::Dataset original = gen.GenerateTrain();
-  const std::string path = ::testing::TempDir() + "/dcmt_roundtrip.csv";
+  const std::string path =
+      ::testing::TempDir() + "/dcmt_roundtrip_" +
+      std::to_string(static_cast<long long>(::getpid())) + ".csv";
   ASSERT_TRUE(data::WriteCsv(original, path));
 
   data::Dataset loaded;

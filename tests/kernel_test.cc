@@ -1,7 +1,8 @@
 // Kernel-layer correctness: the fused ops (SigmoidBce, EmbeddingConcat,
 // Mean, WeightedSum, SquaredNorm) against their unfused reference
 // composites (ops::reference), the vectorized elementwise family against
-// libm, and the SIMD GEMM against a double-precision reference — on
+// libm, and the SIMD GEMM (forward and both backward products) against a
+// double-precision reference — on
 // randomized shapes chosen to stress the 8-lane SIMD tails (widths that are
 // not multiples of the vector width, single columns, single elements).
 //
@@ -14,14 +15,21 @@
 //    the composite's probability clamp does not engage, and stays finite at
 //    logits where the composite saturates;
 //  - every fused op passes finite-difference gradcheck at 1 and 4 threads
-//    with the partition grain forced down so the 4-thread run really shards.
+//    with the partition grain forced down so the 4-thread run really shards;
+//  - MatMul's dA and dB accumulate into existing gradients and are
+//    BIT-identical at 1 and 4 threads under that forced sharding.
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/thread_pool.h"
+#include "data/generator.h"
+#include "data/profiles.h"
+#include "models/multi_task_model.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
@@ -282,6 +290,117 @@ TEST_F(KernelTest, MatMulMatchesDoubleReferenceOnRaggedSizes) {
         }
       }
     }
+  }
+}
+
+// --- Backward GEMMs vs double-precision reference ----------------------------
+
+/// Deep-tower input width of the default AE-ES model: #deep fields times the
+/// default embedding dim (the first tower GEMM's k).
+int AeEsTowerInputWidth() {
+  return static_cast<int>(
+             data::SyntheticLogGenerator(data::AeEsProfile()).Schema()
+                 .deep_fields.size()) *
+         models::ModelConfig().embedding_dim;
+}
+
+struct MatMulGrads {
+  std::vector<float> da;
+  std::vector<float> db;
+};
+
+/// Runs MatMul(a, b) backward with upstream gradient dc (via WeightedSum,
+/// whose backward hands dc through exactly) into gradient buffers that
+/// already hold da0/db0, so the += contract is exercised.
+MatMulGrads MatMulBackward(int m, int k, int n, const std::vector<float>& av,
+                           const std::vector<float>& bv,
+                           const std::vector<float>& dc,
+                           const std::vector<float>& da0,
+                           const std::vector<float>& db0) {
+  Tensor a = Tensor::FromData(m, k, av, /*requires_grad=*/true);
+  Tensor b = Tensor::FromData(k, n, bv, /*requires_grad=*/true);
+  std::copy(da0.begin(), da0.end(), a.grad());
+  std::copy(db0.begin(), db0.end(), b.grad());
+  ops::WeightedSum(ops::MatMul(a, b), Tensor::FromData(m, n, dc)).Backward();
+  return {std::vector<float>(a.grad(), a.grad() + a.size()),
+          std::vector<float>(b.grad(), b.grad() + b.size())};
+}
+
+std::vector<float> UniformValues(std::int64_t count, float lo, float hi,
+                                 Rng* rng) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) x = rng->Uniform(lo, hi);
+  return v;
+}
+
+TEST_F(KernelTest, MatMulBackwardMatchesDoubleReferenceOnRaggedSizes) {
+  Rng rng(18);
+  const int tower = AeEsTowerInputWidth();
+  for (int m : {1, 5, 6, 7, 13, 1024}) {
+    for (int k : {1, 7, 16, 17, tower}) {
+      for (int n : {1, 2, 15, 16, 17, 64}) {
+        const auto av = UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, &rng);
+        const auto bv = UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, &rng);
+        const auto dc = UniformValues(std::int64_t{m} * n, -1.0f, 1.0f, &rng);
+        const auto da0 = UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, &rng);
+        const auto db0 = UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, &rng);
+        const MatMulGrads g = MatMulBackward(m, k, n, av, bv, dc, da0, db0);
+        const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                                  "x" + std::to_string(n);
+        // Tolerance scales with the sum of |terms| (float rounding grows
+        // with the reduction length and magnitude, not the signed result).
+        for (int i = 0; i < m; ++i) {
+          for (int p = 0; p < k; ++p) {
+            double acc = 0.0, mag = 0.0;
+            for (int j = 0; j < n; ++j) {
+              const double t = static_cast<double>(dc[i * n + j]) *
+                               static_cast<double>(bv[p * n + j]);
+              acc += t;
+              mag += std::fabs(t);
+            }
+            const std::size_t e = static_cast<std::size_t>(i) * k + p;
+            ASSERT_NEAR(g.da[e], da0[e] + acc, 1e-6 * (2.0 + mag))
+                << shape << " dA(" << i << "," << p << ")";
+          }
+        }
+        for (int p = 0; p < k; ++p) {
+          for (int j = 0; j < n; ++j) {
+            double acc = 0.0, mag = 0.0;
+            for (int i = 0; i < m; ++i) {
+              const double t = static_cast<double>(av[i * k + p]) *
+                               static_cast<double>(dc[i * n + j]);
+              acc += t;
+              mag += std::fabs(t);
+            }
+            const std::size_t e = static_cast<std::size_t>(p) * n + j;
+            ASSERT_NEAR(g.db[e], db0[e] + acc, 1e-6 * (2.0 + mag))
+                << shape << " dB(" << p << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelTest, MatMulBackwardBitIdenticalAtOneAndFourThreads) {
+  Rng rng(19);
+  const int tower = AeEsTowerInputWidth();
+  // The three tower shapes at batch 1024, plus ragged row/column counts.
+  const int dims[][3] = {{1024, tower, 64}, {1024, 64, 32}, {1024, 32, 1},
+                         {13, 17, 15},      {7, 7, 1},      {1, 16, 17}};
+  for (const auto& d : dims) {
+    const int m = d[0], k = d[1], n = d[2];
+    const auto av = UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, &rng);
+    const auto bv = UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, &rng);
+    const auto dc = UniformValues(std::int64_t{m} * n, -1.0f, 1.0f, &rng);
+    const auto da0 = UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, &rng);
+    const auto db0 = UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, &rng);
+    UseThreads(1, /*force_sharding=*/false);
+    const MatMulGrads serial = MatMulBackward(m, k, n, av, bv, dc, da0, db0);
+    UseThreads(4, /*force_sharding=*/true);
+    const MatMulGrads sharded = MatMulBackward(m, k, n, av, bv, dc, da0, db0);
+    EXPECT_EQ(serial.da, sharded.da) << m << "x" << k << "x" << n << " dA";
+    EXPECT_EQ(serial.db, sharded.db) << m << "x" << k << "x" << n << " dB";
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for dcmt::obs (DESIGN.md §12): registry handle semantics, exact
 // sharded aggregation under pool concurrency, histogram binning and
 // non-finite handling, the Prometheus text exposition, trace span buffers,
-// and the tier-1 determinism contract — two identical training runs export
-// identical metrics modulo timing-derived values.
+// the tier-1 determinism contract — two identical training runs export
+// identical metrics modulo timing-derived values — and the per-op backward
+// profiler in Tensor::Backward.
 
 #include <limits>
 #include <regex>
@@ -17,6 +18,9 @@
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "eval/trainer.h"
+#include "tensor/ops.h"
+#include "tensor/random.h"
+#include "tensor/tensor.h"
 
 namespace dcmt {
 namespace {
@@ -42,6 +46,7 @@ using ObsHistogramTest = ObsTestBase;
 using ObsPrometheusTest = ObsTestBase;
 using ObsTraceTest = ObsTestBase;
 using ObsDeterminismTest = ObsTestBase;
+using ObsProfilerTest = ObsTestBase;
 
 TEST_F(ObsCounterTest, DisabledRecordingIsANoOp) {
   obs::Counter c = obs::Registry::Global().counter("obs_test_disabled_total");
@@ -282,6 +287,42 @@ TEST_F(ObsDeterminismTest, TrainingExportsAreIdenticalModuloTiming) {
   // ...and the deterministic projections agree exactly.
   EXPECT_EQ(DropTimingMetrics(first.metrics), DropTimingMetrics(second.metrics));
   EXPECT_EQ(ZeroTraceTimestamps(first.trace), ZeroTraceTimestamps(second.trace));
+}
+
+// --- Built-in backward profiler (Tensor::Backward). ------------------------
+
+const char kMatMulBackwardSeconds[] =
+    "dcmt_op_backward_seconds_total{op=\"matmul\"}";
+
+/// One backward pass through a MatMul big enough to take measurable time.
+void RunMatMulBackward() {
+  Rng rng(5);
+  Tensor a = Tensor::Uniform(256, 48, -1.0f, 1.0f, &rng, true);
+  Tensor b = Tensor::Uniform(48, 32, -1.0f, 1.0f, &rng, true);
+  ops::Sum(ops::MatMul(a, b)).Backward();
+}
+
+TEST_F(ObsProfilerTest, DisabledBackwardRecordsNothing) {
+  obs::SetEnabled(false);
+  RunMatMulBackward();
+  EXPECT_DOUBLE_EQ(obs::Registry::Global().sum(kMatMulBackwardSeconds).value(),
+                   0.0);
+  EXPECT_DOUBLE_EQ(obs::Registry::Global()
+                       .sum("dcmt_op_backward_seconds_total{op=\"sum\"}")
+                       .value(),
+                   0.0);
+}
+
+TEST_F(ObsProfilerTest, EnabledBackwardReportsMatMulSeconds) {
+  RunMatMulBackward();
+  const std::string text = obs::Registry::Global().RenderPrometheus();
+  EXPECT_NE(text.find(kMatMulBackwardSeconds), std::string::npos);
+  EXPECT_NE(text.find("dcmt_op_backward_seconds_total{op=\"sum\"}"),
+            std::string::npos);
+  EXPECT_GT(obs::Registry::Global().sum(kMatMulBackwardSeconds).value(), 0.0);
+  // Timing-derived, so the deterministic projection drops it.
+  EXPECT_EQ(DropTimingMetrics(text).find("dcmt_op_backward"),
+            std::string::npos);
 }
 
 }  // namespace

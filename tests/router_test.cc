@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
@@ -238,10 +240,13 @@ class RouterTest : public ::testing::Test {
       }
     };
     step(2);
-    path_a_ = ::testing::TempDir() + "/router_a.ckpt";
+    // Per-process names: ctest -j runs this fixture's tests concurrently.
+    const std::string pid =
+        std::to_string(static_cast<long long>(::getpid()));
+    path_a_ = ::testing::TempDir() + "/router_a_" + pid + ".ckpt";
     ASSERT_TRUE(nn::SaveParameters(*model, path_a_));
     step(4);
-    path_b_ = ::testing::TempDir() + "/router_b.ckpt";
+    path_b_ = ::testing::TempDir() + "/router_b_" + pid + ".ckpt";
     ASSERT_TRUE(nn::SaveParameters(*model, path_b_));
   }
 

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/obs.h"
@@ -58,8 +60,10 @@ models::ModelConfig TinyConfig() {
   return c;
 }
 
+/// Per-process so concurrent ctest processes never share a checkpoint file.
 std::string CheckpointPath(const std::string& name) {
-  return ::testing::TempDir() + "/serve_" + name + ".ckpt";
+  return ::testing::TempDir() + "/serve_" + name + "_" +
+         std::to_string(static_cast<long long>(::getpid())) + ".ckpt";
 }
 
 std::vector<float> Column(const Tensor& t) {

@@ -8,10 +8,10 @@
 // Any number of input files may be given; the last argument is the output.
 // The output records ns/op per (benchmark, thread count) plus per-family
 // speedups relative to the 1-thread run, so future PRs can diff engine
-// performance without re-parsing google-benchmark's verbose format. When a
-// family pair <base>ObsOff/<base>ObsOn is present (bench_obs_overhead), an
-// "obs_overhead" section additionally reports the enabled/disabled overhead
-// in percent — the ≤2% disabled-path budget of DESIGN.md §12.
+// performance without re-parsing google-benchmark's verbose format. Rows
+// carrying an on_vs_off_pct counter (bench_obs_overhead) additionally land in
+// an "obs_overhead" section: the enabled/disabled overhead in percent — the
+// ≤2% obs-on budget of DESIGN.md §12.
 //
 // The parser is deliberately minimal: it understands exactly the regular
 // subset of JSON that google-benchmark emits (one "name"/"real_time"/
@@ -37,6 +37,8 @@ struct BenchEntry {
   std::string family;  // e.g. "BM_DcmtTrainStep"
   int threads = 1;     // trailing /N argument (1 if absent)
   double ns_per_op = 0.0;
+  bool has_obs_pct = false;  // row carries an on_vs_off_pct counter
+  double obs_pct = 0.0;
 };
 
 /// Extracts the quoted string value following `"key":` at or after `pos`
@@ -122,6 +124,8 @@ bool ParseBenchmarkFile(const char* path, std::vector<BenchEntry>* entries) {
     const std::string unit = FindStringValue(text, pos, limit, "time_unit");
     if (found && !entry.family.empty()) {
       entry.ns_per_op = ToNanoseconds(real_time, unit);
+      entry.obs_pct = FindNumberValue(text, pos, limit, "on_vs_off_pct",
+                                      &entry.has_obs_pct);
       // google-benchmark repeats aggregate rows (mean/median/stddev) reuse
       // the name with a suffix; keep only plain measurement rows.
       if (FindStringValue(text, pos, limit, "run_type") != "aggregate") {
@@ -212,31 +216,23 @@ int main(int argc, char** argv) {
   }
   out << "\n  }";
 
-  // Pair <base>ObsOff/<base>ObsOn families into per-thread-count overhead
-  // percentages ((on - off) / off * 100), the §12 disabled-path budget.
-  bool first_pair = true;
-  for (const auto& [family, off_by_threads] : families) {
-    const std::string suffix = "ObsOff";
-    if (family.size() <= suffix.size() ||
-        family.compare(family.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string base = family.substr(0, family.size() - suffix.size());
-    const auto on_it = families.find(base + "ObsOn");
-    if (on_it == families.end()) continue;
-    for (const auto& [threads, off_ns] : off_by_threads) {
-      const auto on = on_it->second.find(threads);
-      if (on == on_it->second.end() || off_ns <= 0.0) continue;
-      out << (first_pair ? ",\n  \"obs_overhead\": {\n" : ",\n");
-      first_pair = false;
-      char num[64];
-      std::snprintf(num, sizeof(num), "%.2f",
-                    (on->second - off_ns) / off_ns * 100.0);
-      out << "    \"" << base << "/" << threads << "\": {\"on_vs_off_pct\": "
-          << num << "}";
-    }
+  // Obs on-vs-off overhead rows, averaged over repetitions like ns_per_op.
+  std::map<std::string, std::pair<double, int>> obs_pcts;
+  for (const BenchEntry& e : entries) {
+    if (!e.has_obs_pct) continue;
+    auto& slot = obs_pcts[e.family + "/" + std::to_string(e.threads)];
+    slot.first += e.obs_pct;
+    ++slot.second;
   }
-  if (!first_pair) out << "\n  }";
+  bool first_obs = true;
+  for (const auto& [key, sum_count] : obs_pcts) {
+    out << (first_obs ? ",\n  \"obs_overhead\": {\n" : ",\n");
+    first_obs = false;
+    char num[64];
+    std::snprintf(num, sizeof(num), "%.2f", sum_count.first / sum_count.second);
+    out << "    \"" << key << "\": {\"on_vs_off_pct\": " << num << "}";
+  }
+  if (!first_obs) out << "\n  }";
 
   out << "\n}\n";
   std::printf("bench_to_json: wrote %zu entries (%zu families) to %s\n",
