@@ -1,7 +1,9 @@
-// Thread-scaling benchmarks of the parallel runtime: matmul forward,
-// matmul forward+backward, and the full DCMT train step, each at 1/2/4/N
-// threads (N = hardware_concurrency when > 4). Real (wall-clock) time is
-// the measured quantity — that is what kernel parallelism buys.
+// Thread-scaling benchmarks of the parallel runtime: the cost of one pool
+// dispatch, matmul forward and forward+backward (a 512x128x128 GEMM and the
+// two AE-ES tower layers), the full DCMT train step, and concurrent
+// experiment repeats, each at 1/2/4/N threads (N = hardware_concurrency
+// when > 4). Real (wall-clock) time is the measured quantity — that is what
+// kernel parallelism buys.
 //
 // tools/run_tier1.sh pipes this binary's JSON output through
 // tools/bench_to_json to produce the machine-readable BENCH_engine.json at
@@ -9,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <thread>
 
 #include "core/dcmt.h"
@@ -30,6 +33,81 @@ void ThreadArgs(benchmark::internal::Benchmark* b) {
   for (int t : {1, 2, 4}) b->Arg(t);
   if (hw > 4) b->Arg(hw);
 }
+
+/// One no-op RunShards over every thread: the pure hand-off cost that a
+/// kernel chunk must outweigh (DESIGN.md §9). Back-to-back dispatches find
+/// the workers spinning; time per iteration is microseconds per dispatch.
+void BM_PoolDispatch(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  core::ThreadPool::Global().SetNumThreads(threads);
+  const std::function<void(int)> noop = [](int shard) {
+    benchmark::DoNotOptimize(shard);
+  };
+  for (auto _ : state) core::ThreadPool::Global().RunShards(threads, noop);
+  core::ThreadPool::Global().SetNumThreads(1);
+}
+BENCHMARK(BM_PoolDispatch)->Apply(ThreadArgs)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// Tower-shaped GEMMs of a 1024-row training batch: layer 1 (AE-ES tower
+// input, 7 deep fields x 16 = 112 wide, to 64) and layer 2 (64 to 32). At
+// the matmul grain each splits four ways forward and in both backward
+// products. Items are forward multiply-adds.
+
+void TowerMatMulForward(benchmark::State& state, int k, int n) {
+  const int threads = static_cast<int>(state.range(0));
+  core::ThreadPool::Global().SetNumThreads(threads);
+  Rng rng(3);
+  const Tensor a = Tensor::Randn(1024, k, 1.0f, &rng);
+  const Tensor b = Tensor::Randn(k, n, 0.1f, &rng);
+  for (auto _ : state) {
+    Tensor c = ops::MatMul(a, b);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 1024LL * k * n);
+  core::ThreadPool::Global().SetNumThreads(1);
+}
+
+void TowerMatMulForwardBackward(benchmark::State& state, int k, int n) {
+  const int threads = static_cast<int>(state.range(0));
+  core::ThreadPool::Global().SetNumThreads(threads);
+  Rng rng(4);
+  Tensor a = Tensor::Randn(1024, k, 1.0f, &rng, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn(k, n, 0.1f, &rng, /*requires_grad=*/true);
+  const Tensor upstream = Tensor::Randn(1024, n, 1.0f, &rng);
+  for (auto _ : state) {
+    a.ZeroGrad();
+    b.ZeroGrad();
+    ops::WeightedSum(ops::MatMul(a, b), upstream).Backward();
+    benchmark::DoNotOptimize(b.grad());
+  }
+  state.SetItemsProcessed(state.iterations() * 1024LL * k * n);
+  core::ThreadPool::Global().SetNumThreads(1);
+}
+
+void BM_MatMulTowerLayer1Forward(benchmark::State& state) {
+  TowerMatMulForward(state, 112, 64);
+}
+BENCHMARK(BM_MatMulTowerLayer1Forward)->Apply(ThreadArgs)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MatMulTowerLayer1ForwardBackward(benchmark::State& state) {
+  TowerMatMulForwardBackward(state, 112, 64);
+}
+BENCHMARK(BM_MatMulTowerLayer1ForwardBackward)->Apply(ThreadArgs)
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+void BM_MatMulTowerLayer2Forward(benchmark::State& state) {
+  TowerMatMulForward(state, 64, 32);
+}
+BENCHMARK(BM_MatMulTowerLayer2Forward)->Apply(ThreadArgs)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MatMulTowerLayer2ForwardBackward(benchmark::State& state) {
+  TowerMatMulForwardBackward(state, 64, 32);
+}
+BENCHMARK(BM_MatMulTowerLayer2ForwardBackward)->Apply(ThreadArgs)
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_MatMulForward(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

@@ -27,44 +27,109 @@ thread_local bool tls_in_parallel_region = false;
 
 std::atomic<std::int64_t> g_grain_cap{0};
 
+/// How long a thread that is waiting on the pool busy-polls before it
+/// blocks: a worker after each job, the caller while its workers finish.
+/// A training step issues its GEMMs tens of microseconds apart, so inside
+/// a step a worker is still spinning when the next dispatch lands and picks
+/// it up in ~1 us instead of a condvar wake-up. Between steps (batch
+/// assembly, checkpointing) it parks and costs nothing.
+constexpr std::int64_t kSpinNanos = 150000;
+
+/// CPU hint for a busy-wait iteration: `pause` on x86, a yield elsewhere.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Busy-polls until `done()` holds or the spin window ends; returns done().
+template <typename Done>
+bool SpinUntil(const Done& done) {
+  const std::int64_t deadline = obs::NowNanos() + kSpinNanos;
+  for (int i = 1;; ++i) {
+    if (done()) return true;
+    CpuRelax();
+    if (i % 64 == 0 && obs::NowNanos() > deadline) return done();
+  }
+}
+
 }  // namespace
 
-/// Shared worker state. Jobs are serialized: RunShards blocks until every
-/// shard of the current generation has finished before the next job can be
-/// posted, so a single (job, shards, pending) triple suffices.
+/// Shared worker state. One job is in flight at a time: the dispatching
+/// caller holds `dispatch_mu` from publishing the job until every worker has
+/// acknowledged it, so a single (job, job_shards, pending) slot suffices.
+///
+/// Hand-off: the caller fills the slot, sets `pending` to the worker count
+/// and bumps `generation`. Each worker, spinning or parked, sees the new
+/// generation, runs its shard if it has one, and acknowledges by
+/// decrementing `pending` — every worker acknowledges every generation, so
+/// no worker can still be reading the slot when the next job rewrites it.
+/// The mutex and condvars are only touched when a side actually parked:
+/// `parked_workers` / `caller_parked` are set under `mu` before a waiter
+/// re-checks its predicate, and the waker re-reads them after its own
+/// seq_cst store, so one of the two always sees the other (no lost wake-up).
 struct ThreadPool::State {
-  std::mutex mu;
+  std::mutex dispatch_mu;  // held by the one caller whose job is in flight
+  std::mutex mu;           // guards parking only
   std::condition_variable work_cv;
   std::condition_variable done_cv;
   std::vector<std::thread> workers;
-  const std::function<void(int)>* job = nullptr;  // valid while pending > 0
+  const std::function<void(int)>* job = nullptr;  // published by generation
   int job_shards = 0;
-  std::uint64_t generation = 0;
-  int pending = 0;
-  bool stop = false;
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<int> pending{0};
+  std::atomic<int> parked_workers{0};
+  std::atomic<bool> caller_parked{false};
+  std::atomic<bool> stop{false};
 
-  void WorkerLoop(int index) {
+  void WorkerLoop(int index, std::uint64_t seen) {
     tls_in_parallel_region = true;
-    std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void(int)>* my_job = nullptr;
-      int shards = 0;
-      {
+      const auto ready = [&] {
+        return stop.load() || generation.load() != seen;
+      };
+      if (!SpinUntil(ready)) {
         std::unique_lock<std::mutex> lock(mu);
-        work_cv.wait(lock, [&] { return stop || generation != seen; });
-        if (stop) return;
-        seen = generation;
-        my_job = job;
-        shards = job_shards;
+        parked_workers.fetch_add(1);
+        work_cv.wait(lock, ready);
+        parked_workers.fetch_sub(1);
       }
-      // Worker `index` owns shard index + 1 (the caller runs shard 0). A
-      // lagging worker that missed a generation it did not participate in
-      // can observe job == nullptr here; it just resynchronizes.
-      if (my_job != nullptr && index + 1 < shards) {
-        (*my_job)(index + 1);
+      if (stop.load()) return;
+      // The caller waits for every acknowledgement before it publishes the
+      // next job, so generations never skip.
+      seen = generation.load(std::memory_order_acquire);
+      // Worker `index` owns shard index + 1 (the caller runs shard 0).
+      if (index + 1 < job_shards) (*job)(index + 1);
+      if (pending.fetch_sub(1) == 1 && caller_parked.load()) {
         std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) done_cv.notify_one();
+        done_cv.notify_one();
       }
+    }
+  }
+
+  /// Publishes (fn, shards) to every worker and runs shard 0 on the calling
+  /// thread; returns once every worker has acknowledged. Requires
+  /// dispatch_mu.
+  void Dispatch(int shards, const std::function<void(int)>* fn) {
+    job = fn;
+    job_shards = shards;
+    pending.store(static_cast<int>(workers.size()));
+    generation.fetch_add(1);
+    if (parked_workers.load() > 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      work_cv.notify_all();
+    }
+    tls_in_parallel_region = true;
+    (*fn)(0);
+    tls_in_parallel_region = false;
+    const auto done = [&] { return pending.load() == 0; };
+    if (!SpinUntil(done)) {
+      std::unique_lock<std::mutex> lock(mu);
+      caller_parked.store(true);
+      done_cv.wait(lock, done);
+      caller_parked.store(false);
     }
   }
 };
@@ -89,19 +154,24 @@ bool ThreadPool::InParallelRegion() { return tls_in_parallel_region; }
 
 void ThreadPool::Start(int n) {
   num_threads_ = std::max(1, n);
-  state_->stop = false;
+  state_->stop.store(false);
+  // Workers start from the generation current *before* they exist; reading
+  // it inside each worker could skip a job published in the meantime and
+  // leave the caller waiting for an acknowledgement that never comes.
+  const std::uint64_t seen = state_->generation.load();
   state_->workers.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int i = 0; i < num_threads_ - 1; ++i) {
-    state_->workers.emplace_back([this, i] { state_->WorkerLoop(i); });
+    state_->workers.emplace_back(
+        [this, i, seen] { state_->WorkerLoop(i, seen); });
   }
 }
 
 void ThreadPool::Stop() {
+  state_->stop.store(true);
   {
     std::lock_guard<std::mutex> lock(state_->mu);
-    state_->stop = true;
+    state_->work_cv.notify_all();
   }
-  state_->work_cv.notify_all();
   for (std::thread& t : state_->workers) t.join();
   state_->workers.clear();
 }
@@ -110,6 +180,7 @@ void ThreadPool::SetNumThreads(int n) {
   if (tls_in_parallel_region) Fatal("SetNumThreads inside a parallel region");
   if (n <= 0) n = DefaultNumThreads();
   if (n == num_threads_) return;
+  std::lock_guard<std::mutex> lock(state_->dispatch_mu);
   Stop();
   Start(n);
 }
@@ -125,8 +196,11 @@ void ThreadPool::RunShards(int shards, const std::function<void(int)>& fn) {
       obs::Registry::Global().sum("dcmt_pool_busy_seconds_total");
 
   if (shards > num_threads_) Fatal("RunShards wants more shards than threads");
-  if (shards <= 1 || tls_in_parallel_region) {
-    // Serial / nested fallback: run every shard in order on this thread.
+  // Serial, nested, or contended (another caller's job holds the pool): run
+  // every shard in order on this thread. The partition is unchanged, so the
+  // results are the same bits the pool would have produced.
+  std::unique_lock<std::mutex> dispatch(state_->dispatch_mu, std::defer_lock);
+  if (shards <= 1 || tls_in_parallel_region || !dispatch.try_lock()) {
     obs_inline_runs.Inc();
     for (int s = 0; s < shards; ++s) fn(s);
     return;
@@ -137,30 +211,16 @@ void ThreadPool::RunShards(int shards, const std::function<void(int)>& fn) {
   // With observability on, wrap the job so each shard accumulates its wall
   // time into the sharded busy-seconds sum. The wrapper exists only while
   // recording; the disabled path posts `fn` untouched.
-  const std::function<void(int)>* job = &fn;
-  std::function<void(int)> timed_fn;
   if (obs::Enabled()) {
-    timed_fn = [&fn](int s) {
+    const std::function<void(int)> timed_fn = [&fn](int s) {
       const std::int64_t t0 = obs::NowNanos();
       fn(s);
       obs_busy_seconds.Add(static_cast<double>(obs::NowNanos() - t0) * 1e-9);
     };
-    job = &timed_fn;
+    state_->Dispatch(shards, &timed_fn);
+  } else {
+    state_->Dispatch(shards, &fn);
   }
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->job = job;
-    state_->job_shards = shards;
-    state_->pending = shards - 1;
-    ++state_->generation;
-  }
-  state_->work_cv.notify_all();
-  tls_in_parallel_region = true;
-  (*job)(0);
-  tls_in_parallel_region = false;
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->done_cv.wait(lock, [&] { return state_->pending == 0; });
-  state_->job = nullptr;
 }
 
 int DefaultNumThreads() {

@@ -20,6 +20,15 @@ namespace core {
 //   * Nested parallelism is flattened: a ParallelFor issued from inside a
 //     pool worker (e.g. a tensor kernel running under a concurrent
 //     experiment repeat) executes inline on that worker.
+//   * Concurrent callers never share the pool: while one external thread's
+//     job is in flight, a RunShards from any other thread runs its shards
+//     in order on its own thread. The partition is the same either way, so
+//     the results are the same bits.
+//
+// Dispatch is spin-then-park: after a job a worker busy-polls for a short
+// window before it blocks, so back-to-back dispatches (the GEMMs of one
+// training step) cost about a microsecond each instead of a condvar
+// wake-up. The kernel grains in tensor/ops.cc are sized against that cost.
 
 /// Persistent worker pool. Lazy global singleton; the pool owns
 /// `num_threads() - 1` OS threads because the calling thread always executes
@@ -34,13 +43,16 @@ class ThreadPool {
   int num_threads() const { return num_threads_; }
 
   /// Resizes the pool to `n` threads (n <= 0 restores the environment /
-  /// hardware default). Must not be called while a RunShards is in flight.
+  /// hardware default). Waits for an in-flight job to finish; must not race
+  /// a ParallelFor whose chunk count was computed for the old width.
   void SetNumThreads(int n);
 
   /// Runs fn(shard) for every shard in [0, shards); the calling thread
   /// executes shard 0, pool workers execute the rest. Blocks until all
   /// shards finish. `shards` must not exceed num_threads(). Calls from
-  /// inside a parallel region (and shards <= 1) run all shards inline.
+  /// inside a parallel region, calls made while another thread's job holds
+  /// the pool, and shards <= 1 run all shards inline, in shard order
+  /// (counted by dcmt_pool_inline_runs_total).
   void RunShards(int shards, const std::function<void(int)>& fn);
 
   /// True on a pool worker thread or while the calling thread is executing

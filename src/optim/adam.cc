@@ -2,8 +2,18 @@
 
 #include <cmath>
 
+#include "core/thread_pool.h"
+
 namespace dcmt {
 namespace optim {
+namespace {
+
+/// Minimum parameter elements per Adam chunk: ~8k elements is a few
+/// microseconds of update work, a few times the pool's dispatch cost.
+/// Tower weights stay single-chunk; the embedding tables fan out.
+constexpr std::int64_t kElementGrain = 8192;
+
+}  // namespace
 
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
@@ -56,14 +66,19 @@ void Adam::Step() {
     const float* g = p.grad();
     float* m = m_[k].data();
     float* v = v_[k].data();
-    for (std::int64_t i = 0; i < p.size(); ++i) {
-      const float grad = g[i] + weight_decay_ * w[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
-      const float m_hat = m[i] / bias1;
-      const float v_hat = v[i] / bias2;
-      w[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    // Every element updates independently, so any partition (thread count)
+    // gives the same bits.
+    core::ParallelFor(0, p.size(), kElementGrain,
+                      [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const float grad = g[i] + weight_decay_ * w[i];
+        m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
+        v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
+        const float m_hat = m[i] / bias1;
+        const float v_hat = v[i] / bias2;
+        w[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      }
+    });
   }
 }
 

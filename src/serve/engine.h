@@ -5,8 +5,8 @@
 // sites in the tree (enforced by the dcmt_lint concurrency rule — under
 // src/serve/ the sanction covers engine/router/shard_cache, the files that
 // own queues and dispatcher threads): it owns the bounded request queue and
-// its dispatcher thread. Scoring itself still fans out through
-// core::ThreadPool.
+// its dispatcher thread. Scoring runs on the dispatcher; its large GEMMs
+// fan out through core::ThreadPool (see FrozenModel).
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -96,9 +96,9 @@ class ModelSource {
 ///
 /// Producers Submit() single rows into a bounded MPSC queue; one dispatcher
 /// thread coalesces them into batches under a max-batch/max-wait deadline
-/// policy and scores each batch through FrozenModel::ScoreExamples (which
-/// fans out across core::ThreadPool). Each Submit returns a future fulfilled
-/// when its batch completes.
+/// policy and scores each batch through FrozenModel::ScoreExamples (whose
+/// large GEMMs fan out across core::ThreadPool). Each Submit returns a
+/// future fulfilled when its batch completes.
 ///
 /// Determinism: per-row forward kernels are batch-composition-independent
 /// (see FrozenModel), so a request's Score does not depend on which requests

@@ -32,9 +32,13 @@ struct ScoreColumns {
 /// models_test) asserts this for all 13 zoo variants.
 ///
 /// FrozenModel is immutable after construction and therefore safe to score
-/// from multiple threads *sequentially per call site*; the forward kernels
-/// already fan out across core::ThreadPool internally. A serve-no-backward
-/// lint rule keeps this subsystem free of tape mutation.
+/// from multiple threads *sequentially per call site*. With the pool wider
+/// than one thread, a forward GEMM larger than one matmul grain (2^19
+/// multiply-adds; a 256-row batch's first tower layer is 3.5 grains) fans
+/// out across core::ThreadPool; smaller products and the elementwise
+/// ops run on the calling thread, as does every chunk of a call that finds
+/// the pool busy with another caller's job (DESIGN.md §9). A
+/// serve-no-backward lint rule keeps this subsystem free of tape mutation.
 class FrozenModel {
  public:
   /// Freezes an owned model (e.g. freshly trained in-process).

@@ -32,16 +32,20 @@ using core::ParallelFor;
 using core::ParallelForChunks;
 
 /// Minimum elementwise operations per chunk before a kernel fans out. With
-/// the SIMD kernels an element costs ~1ns, so anything below ~100k elements
-/// loses more to pool dispatch than it gains from parallelism (the 0.88x
-/// regression BENCH_engine.json caught at 4 threads on a small box).
+/// the SIMD kernels an element costs ~1ns, so a chunk of 131072 elements is
+/// ~100us of work, and the tower-sized elementwise ops of a training step
+/// (batch 1024 x width <= 112) stay single-chunk. The chunked reductions
+/// (Sum, Mean, WeightedSum, SquaredNorm) key their partial buffers on this
+/// grain, so lowering it moves their low bits as well as their speed.
 constexpr std::int64_t kElementwiseGrain = 131072;
-/// Minimum multiply-adds per chunk for matmul-shaped kernels. 2^23 madds is
-/// ~0.1ms of single-thread GEMM work — the break-even point where a second
-/// thread starts paying for its wake-up; the tower-shaped matmuls
-/// (batch ~<=512, widths ~<=128) stay single-chunk, and only genuinely large
-/// GEMMs fan out.
-constexpr std::int64_t kMatMulGrain = 8388608;
+/// Minimum multiply-adds per chunk for matmul-shaped kernels, derived from
+/// the pool's dispatch cost (DESIGN.md §9). A dispatch costs ~1-2us while
+/// the workers are spinning; 2^19 multiply-adds is ~25us of single-thread
+/// GEMM work, so every chunk is worth an order of magnitude more than its
+/// hand-off. The tower GEMMs of a 1024-row batch (1024x112->64,
+/// 1024x64->32) split four ways in the forward pass and in both backward
+/// products; the n = 1 heads stay single-chunk.
+constexpr std::int64_t kMatMulGrain = 524288;
 
 /// Row grain so each chunk holds at least `work` scalar ops at `per_row`
 /// ops per row.

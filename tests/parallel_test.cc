@@ -20,12 +20,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "core/io.h"
+#include "core/obs.h"
 #include "core/thread_pool.h"
 #include "data/profiles.h"
+#include "eval/checkpointer.h"
 #include "eval/experiment.h"
 #include "eval/trainer.h"
 #include "core/dcmt.h"
@@ -355,6 +362,70 @@ TEST(ParallelTraining, SingleThreadTrainEpochSelfReproducible) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     ASSERT_EQ(first[i], second[i]) << "param element " << i;
   }
+}
+
+/// One AE-ES DCMT epoch at production batch size (1024) and production
+/// grains: the tower GEMMs, both backward products and Adam's embedding
+/// updates all fan out at 4 threads.
+struct EpochRun {
+  std::vector<float> params;
+  std::vector<double> step_loss;
+  std::string checkpoint;  // params + Adam moments/step/lr + RNG + batcher
+  std::int64_t pool_dispatches = 0;
+};
+
+EpochRun TrainDcmtEpochAtThreads(int threads) {
+  data::DatasetProfile profile = data::AeEsProfile();
+  profile.train_exposures = 4096;
+  profile.test_exposures = 1;
+  data::SyntheticLogGenerator generator(profile);
+  const data::Dataset train = generator.GenerateTrain();
+  models::ModelConfig mc;
+  core::Dcmt model(train.schema(), mc);
+  eval::TrainConfig tc;
+  tc.epochs = 1;
+  tc.record_step_loss = true;
+  tc.checkpoint_dir = ::testing::TempDir() + "/parallel_xthread_" +
+                      std::to_string(static_cast<long long>(::getpid())) +
+                      "_" + std::to_string(threads);
+
+  EpochRun run;
+  const obs::Counter dispatches =
+      obs::Registry::Global().counter("dcmt_pool_dispatch_total");
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const std::int64_t dispatches_before = dispatches.value();
+  {
+    ScopedParallelConfig config(threads, /*grain_cap=*/0);
+    run.step_loss = eval::Train(&model, train, tc).step_loss;
+  }
+  run.pool_dispatches = dispatches.value() - dispatches_before;
+  obs::SetEnabled(obs_was_enabled);
+  for (const Tensor& p : model.parameters()) {
+    run.params.insert(run.params.end(), p.data(), p.data() + p.size());
+  }
+  const eval::Checkpointer checkpointer(tc.checkpoint_dir);
+  std::unique_ptr<core::FileReader> reader =
+      core::FileSystem::Default()->OpenForRead(checkpointer.path());
+  EXPECT_TRUE(reader != nullptr && reader->ReadAll(&run.checkpoint));
+  core::FileSystem::Default()->Remove(checkpointer.path());
+  return run;
+}
+
+TEST(ParallelTraining, OneAndFourThreadEpochsAreBitIdentical) {
+  const EpochRun serial = TrainDcmtEpochAtThreads(1);
+  const EpochRun threaded = TrainDcmtEpochAtThreads(4);
+  EXPECT_EQ(serial.pool_dispatches, 0);
+  EXPECT_GT(threaded.pool_dispatches, 0) << "nothing fanned out";
+  ASSERT_EQ(serial.step_loss.size(), 4u);
+  EXPECT_EQ(serial.step_loss, threaded.step_loss);
+  ASSERT_EQ(serial.params.size(), threaded.params.size());
+  for (std::size_t i = 0; i < serial.params.size(); ++i) {
+    ASSERT_EQ(serial.params[i], threaded.params[i]) << "param element " << i;
+  }
+  ASSERT_FALSE(serial.checkpoint.empty());
+  EXPECT_TRUE(serial.checkpoint == threaded.checkpoint)
+      << "checkpoints (parameters, Adam state) differ";
 }
 
 // --- concurrent experiment repeats ----------------------------------------

@@ -13,6 +13,8 @@
 // convenience.
 // dcmt-lint: allow(concurrency) — pool stress test needs its own atomics.
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 // dcmt-lint: allow(concurrency) — futures carry engine scores cross-thread.
@@ -29,6 +31,7 @@
 
 #include "core/dcmt.h"
 #include "core/io.h"
+#include "core/obs.h"
 #include "core/prefetch.h"
 #include "core/thread_pool.h"
 #include "data/generator.h"
@@ -119,19 +122,24 @@ TEST(TsanStress, NestedParallelismStaysInlineOnEveryWorker) {
 
 TEST(TsanStress, PoolResizeBetweenBursts) {
   // Start/stop churn: every resize tears down workers and spins up new ones;
-  // TSan verifies the join edges on both sides of each transition.
+  // TSan verifies the join edges on both sides of each transition. In the
+  // first pass each resize lands while the workers still spin after their
+  // burst; in the second, a gap past the spin window has parked them.
   const int sizes[] = {1, 4, 2, 3, 1, 4};
-  for (int n : sizes) {
-    ThreadPool::Global().SetNumThreads(n);
-    SetGrainCapForTesting(1);
-    // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
-    std::atomic<std::int64_t> sum{0};
-    ParallelFor(0, 256, 4, [&](std::int64_t lo, std::int64_t hi) {
-      std::int64_t local = 0;
-      for (std::int64_t i = lo; i < hi; ++i) local += i;
-      sum.fetch_add(local, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 255 * 256 / 2);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int n : sizes) {
+      ThreadPool::Global().SetNumThreads(n);
+      SetGrainCapForTesting(1);
+      // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+      std::atomic<std::int64_t> sum{0};
+      ParallelFor(0, 256, 4, [&](std::int64_t lo, std::int64_t hi) {
+        std::int64_t local = 0;
+        for (std::int64_t i = lo; i < hi; ++i) local += i;
+        sum.fetch_add(local, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(sum.load(), 255 * 256 / 2);
+      if (pass == 1) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
   }
   SetGrainCapForTesting(0);
   ThreadPool::Global().SetNumThreads(1);
@@ -196,6 +204,122 @@ TEST(TsanStress, ConcurrentExperimentRepeats) {
   const eval::ExperimentResult result =
       eval::RunOfflineExperiment("dcmt", train, test, mc, tc, /*repeats=*/4);
   EXPECT_EQ(result.runs.size(), 4u);
+}
+
+// --- Spin-then-park dispatch (DESIGN.md §9). --------------------------------
+
+/// Tower-shaped GEMM (1024x112 -> 64, the first AE-ES tower layer) forward
+/// and backward at production grains, so all three products fan out at 4
+/// threads. Returns out, dA and dB back to back.
+std::vector<float> TowerMatMulBits() {
+  Rng rng(29);
+  Tensor a = Tensor::Randn(1024, 112, 1.0f, &rng, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn(112, 64, 0.1f, &rng, /*requires_grad=*/true);
+  const Tensor upstream = Tensor::Randn(1024, 64, 1.0f, &rng);
+  Tensor out = ops::MatMul(a, b);
+  ops::Sum(ops::Mul(out, upstream)).Backward();
+  std::vector<float> bits(out.data(), out.data() + out.size());
+  bits.insert(bits.end(), a.grad(), a.grad() + a.size());
+  bits.insert(bits.end(), b.grad(), b.grad() + b.size());
+  return bits;
+}
+
+/// A ParallelFor over 2^18 elements at a grain that splits four ways.
+std::vector<float> ParallelForBits() {
+  std::vector<float> out(1 << 18);
+  ParallelFor(0, static_cast<std::int64_t>(out.size()), 4096,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi; ++i) {
+                  out[static_cast<std::size_t>(i)] =
+                      std::sqrt(static_cast<float>(i)) * 0.5f + 1.0f;
+                }
+              });
+  return out;
+}
+
+TEST(TsanStress, ConcurrentCallersGetSerialBits) {
+  ThreadPool::Global().SetNumThreads(1);
+  const std::vector<float> serial_matmul = TowerMatMulBits();
+  const std::vector<float> serial_loop = ParallelForBits();
+  ScopedParallelConfig config(4, 0);
+  // Two external threads dispatch at once: whichever loses the pool runs
+  // its shards inline. Neither may hang, and both must get the serial bits.
+  constexpr int kRounds = 3;
+  std::vector<float> matmul[2], loop[2];
+  // dcmt-lint: allow(concurrency) — two real external callers of the pool.
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        matmul[t] = TowerMatMulBits();
+        loop[t] = ParallelForBits();
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_TRUE(matmul[t] == serial_matmul) << "caller " << t;
+    EXPECT_TRUE(loop[t] == serial_loop) << "caller " << t;
+  }
+}
+
+TEST(TsanStress, ContendedCallerRunsItsShardsInlineInOrder) {
+  ScopedParallelConfig config(4, 0);
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const obs::Counter inline_runs =
+      obs::Registry::Global().counter("dcmt_pool_inline_runs_total");
+  const std::int64_t inline_before = inline_runs.value();
+  std::vector<int> order;
+  // dcmt-lint: allow(concurrency) — which thread ran the contender's shards.
+  std::thread::id contender_id;
+  // dcmt-lint: allow(concurrency) — which thread ran the contender's shards.
+  std::vector<std::thread::id> shard_threads;
+  ThreadPool::Global().RunShards(4, [&](int shard) {
+    if (shard != 0) return;
+    // This job holds the pool until shard 0 returns, so a caller started
+    // here can only finish by running its own shards: if it waited for the
+    // pool instead, the join below would never return.
+    // dcmt-lint: allow(concurrency) — an external caller during a job.
+    std::thread contender([&] {
+      ThreadPool::Global().RunShards(4, [&](int s) {
+        order.push_back(s);
+        shard_threads.push_back(std::this_thread::get_id());
+      });
+    });
+    contender_id = contender.get_id();
+    contender.join();
+  });
+  obs::SetEnabled(obs_was_enabled);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  for (const auto& id : shard_threads) EXPECT_EQ(id, contender_id);
+  EXPECT_EQ(inline_runs.value() - inline_before, 1);
+}
+
+TEST(TsanStress, DispatchAfterIdleGapWakesParkedWorkers) {
+  ScopedParallelConfig config(4, 0);
+  // Gaps below the spin window find the workers spinning; gaps well past it
+  // find them parked on the condvar. Either way every worker must run its
+  // own shard (the caller runs only shard 0).
+  const int gaps_us[] = {0, 20, 5000, 0, 20000, 50, 5000};
+  for (int gap_us : gaps_us) {
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_us));
+    // dcmt-lint: allow(concurrency) — which thread ran each shard.
+    std::vector<std::thread::id> ran_on(4);
+    ThreadPool::Global().RunShards(4, [&](int shard) {
+      ran_on[static_cast<std::size_t>(shard)] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "gap " << gap_us;
+    for (int s = 1; s < 4; ++s) {
+      EXPECT_NE(ran_on[static_cast<std::size_t>(s)], std::this_thread::get_id())
+          << "gap " << gap_us << " shard " << s;
+      for (int t = 1; t < s; ++t) {
+        EXPECT_NE(ran_on[static_cast<std::size_t>(s)],
+                  ran_on[static_cast<std::size_t>(t)])
+            << "gap " << gap_us << " shards " << t << "," << s;
+      }
+    }
+  }
 }
 
 // --- Streaming prefetch thread (DESIGN.md §15). -----------------------------

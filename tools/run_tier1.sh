@@ -227,11 +227,10 @@ if [[ "${DCMT_SKIP_CONTINUAL:-0}" != "1" ]]; then
   echo "continual stage OK"
 fi
 
-# Interleaved repetitions here too: with the SIMD kernels a tower-sized
-# matmul is a single inline chunk at every thread count, so the 1/2/4-thread
-# variants run identical code and any sequential-order spread is turbo /
-# thermal drift, not sharding cost. Interleaving + averaging keeps the
-# thread-scaling rows comparable.
+# Interleaved repetitions here too: the 1/2/4-thread variants of a row are
+# tens of microseconds apart, and sequential-order turbo / thermal drift is
+# of the same size. Interleaving + averaging keeps the thread-scaling rows
+# comparable.
 "$BUILD_DIR"/bench/bench_parallel_scaling \
   --benchmark_enable_random_interleaving=true \
   --benchmark_repetitions=3 \
