@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -45,13 +46,18 @@ inline void CpuRelax() {
 }
 
 /// Busy-polls until `done()` holds or the spin window ends; returns done().
+/// Reads the clock directly rather than through obs: an idle worker must not
+/// touch the obs registry, a function-local static that can be destroyed
+/// before the pool's workers are joined at exit.
 template <typename Done>
 bool SpinUntil(const Done& done) {
-  const std::int64_t deadline = obs::NowNanos() + kSpinNanos;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::nanoseconds(kSpinNanos);
   for (int i = 1;; ++i) {
     if (done()) return true;
     CpuRelax();
-    if (i % 64 == 0 && obs::NowNanos() > deadline) return done();
+    if (i % 64 == 0 && Clock::now() > deadline) return done();
   }
 }
 

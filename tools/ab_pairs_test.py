@@ -62,6 +62,32 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(ab_pairs.verdict(BASE, head, "lower", None)["verdict"],
                          "loss")
 
+    def test_bad_head_run_counts_as_a_lost_pair(self):
+        # Nine clear wins and one pair where HEAD gave no result: 9 of 10
+        # pairs run, still a gain; a second bad run drops it to 8 of 10.
+        head = [v * 1.3 for v in BASE[:9]] + [None]
+        s = ab_pairs.verdict(BASE, head, "higher", 0.15)
+        self.assertEqual((s["wins"], s["pairs"]), (9, 10))
+        self.assertEqual(s["verdict"], "gain")
+        head[8] = None
+        s = ab_pairs.verdict(BASE, head, "higher", 0.15)
+        self.assertEqual((s["wins"], s["pairs"]), (8, 10))
+        self.assertEqual(s["verdict"], "same")
+
+    def test_bad_base_run_counts_as_a_won_pair(self):
+        base = list(BASE)
+        base[0] = None
+        head = [v * 1.3 for v in BASE[:9]] + [v * 0.99 for v in BASE[9:]]
+        s = ab_pairs.verdict(base, head, "higher", 0.15)
+        self.assertEqual((s["wins"], s["pairs"]), (9, 10))
+        self.assertEqual(s["verdict"], "gain")
+
+    def test_bad_head_run_voids_every_run_better(self):
+        base = [100.0, 150.0, 60.0, 140.0, 70.0, 100.0, 90.0, 95.0, 130.0, 80.0]
+        head = [200.0 + v for v in base[:9]] + [None]
+        self.assertEqual(ab_pairs.verdict(base, head, "higher", 0.15)["verdict"],
+                         "spread")
+
 
 if __name__ == "__main__":
     unittest.main()
