@@ -1,9 +1,9 @@
 // Per-kernel microbenchmarks of the SIMD tensor layer (DESIGN.md §14):
 // the GEMM and both of its backward products at the exact shapes the
 // default towers run (ModelConfig hidden_dims {64, 32} on the AE-ES schema
-// at batch 1024), the vectorized
-// elementwise family, and each fused op next to the unfused composite it
-// replaces — so BENCH_engine.json reports the fusion win per kernel.
+// at batch 1024), the vectorized elementwise family, and each fused op (the
+// Dense tower layer included) next to the unfused composite it replaces —
+// so BENCH_engine.json reports the fusion win per kernel.
 //
 // tools/run_tier1.sh folds this binary's JSON output into BENCH_engine.json
 // via tools/bench_to_json alongside the scaling/obs/serve benches.
@@ -166,6 +166,63 @@ void BM_SigmoidBceUnfused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SigmoidBceUnfused);
+
+/// One tower layer relu(x W + b), forward and backward with x, W and b all
+/// requiring grad (x stands for the embedding activations, which do): the
+/// fused ops::Dense node against the MatMul + Add + Relu composite it
+/// replaces, bit-identical in values and gradients. Items are forward
+/// multiply-adds.
+void DenseLayer(benchmark::State& state, int k, int n, bool fused) {
+  Rng rng(5);
+  Tensor x = Tensor::Randn(kBatch, k, 1.0f, &rng, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(k, n, 0.1f, &rng, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn(1, n, 0.1f, &rng, /*requires_grad=*/true);
+  const Tensor dy = Tensor::Randn(kBatch, n, 1.0f, &rng);
+  for (auto _ : state) {
+    const Tensor y = fused ? ops::Dense(x, w, b, /*relu=*/true)
+                           : ops::Relu(ops::Add(ops::MatMul(x, w), b));
+    ops::WeightedSum(y, dy).Backward();
+    benchmark::DoNotOptimize(w.grad());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch *
+                          static_cast<std::int64_t>(k) * n);
+}
+
+void BM_DenseTowerLayer1ForwardBackward(benchmark::State& state) {
+  DenseLayer(state, TowerInputWidth(), 64, /*fused=*/true);
+}
+BENCHMARK(BM_DenseTowerLayer1ForwardBackward);
+
+void BM_DenseTowerLayer1ForwardBackwardUnfused(benchmark::State& state) {
+  DenseLayer(state, TowerInputWidth(), 64, /*fused=*/false);
+}
+BENCHMARK(BM_DenseTowerLayer1ForwardBackwardUnfused);
+
+void BM_DenseTowerLayer2ForwardBackward(benchmark::State& state) {
+  DenseLayer(state, 64, 32, /*fused=*/true);
+}
+BENCHMARK(BM_DenseTowerLayer2ForwardBackward);
+
+void BM_DenseTowerLayer2ForwardBackwardUnfused(benchmark::State& state) {
+  DenseLayer(state, 64, 32, /*fused=*/false);
+}
+BENCHMARK(BM_DenseTowerLayer2ForwardBackwardUnfused);
+
+/// The 1-unit head's forward, x W + b at n = 1; compare BM_MatMulTowerHead,
+/// the bare GEMM the unfused head ran before its bias add.
+void BM_DenseTowerHead(benchmark::State& state) {
+  Rng rng(1);
+  Tensor x = Tensor::Randn(kBatch, 32, 1.0f, &rng);
+  Tensor w = Tensor::Randn(32, 1, 1.0f, &rng);
+  Tensor b = Tensor::Randn(1, 1, 1.0f, &rng);
+  for (auto _ : state) {
+    Tensor y = ops::Dense(x, w, b, /*relu=*/false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch * 32);
+}
+BENCHMARK(BM_DenseTowerHead);
 
 /// AE-ES-like embedding workload: 8 fields, dim-16 tables, batch 1024.
 struct EmbedFixture {

@@ -10,6 +10,8 @@ namespace core {
 // --- PayloadWriter ---------------------------------------------------------
 
 void PayloadWriter::Raw(const void* p, std::size_t n) {
+  // An empty vector's data() may be null; skip the zero-length copy.
+  if (n == 0) return;
   buf_.append(static_cast<const char*>(p), n);
 }
 
@@ -62,6 +64,9 @@ bool PayloadReader::Raw(void* p, std::size_t n) {
     ok_ = false;
     return false;
   }
+  // memcpy's pointers must be non-null even for n == 0, and an empty
+  // vector's data() may be null.
+  if (n == 0) return true;
   std::memcpy(p, rest_.data(), n);
   rest_.remove_prefix(n);
   return true;

@@ -43,7 +43,7 @@ Predictions Aitm::Forward(const data::Batch& batch) {
   const Tensor h_cvr = cvr_trunk_->Forward(x);
 
   // Information transferred from the upstream (CTR) task.
-  const Tensor transferred = ops::Relu(transfer_->Forward(h_ctr));
+  const Tensor transferred = transfer_->ForwardRelu(h_ctr);
 
   // AIT: single-head attention over the two tokens {transferred, h_cvr}.
   const float inv_sqrt_h =

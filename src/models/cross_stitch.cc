@@ -45,8 +45,8 @@ Predictions CrossStitch::Forward(const data::Batch& batch) {
   }
   Tensor ha = x, hb = x;
   for (std::size_t l = 0; l < ctr_layers_.size(); ++l) {
-    ha = ops::Relu(ctr_layers_[l]->Forward(ha));
-    hb = ops::Relu(cvr_layers_[l]->Forward(hb));
+    ha = ctr_layers_[l]->ForwardRelu(ha);
+    hb = cvr_layers_[l]->ForwardRelu(hb);
     const auto& s = stitches_[l];
     const Tensor new_a = ops::Add(ops::Mul(ha, s[0]), ops::Mul(hb, s[1]));
     const Tensor new_b = ops::Add(ops::Mul(ha, s[2]), ops::Mul(hb, s[3]));

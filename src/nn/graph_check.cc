@@ -141,6 +141,30 @@ class Checker {
                                   std::to_string(a->rows) + " x " +
                                   std::to_string(b->cols) + "]");
       }
+    } else if (OpIs(n, "dense")) {
+      // Fused act(x W + b): parents x [m x k], W [k x n], bias row b [1 x n].
+      if (ps.size() != 3) {
+        Add("shape-mismatch", Describe(n) + " expects 3 parents, has " +
+                                  std::to_string(ps.size()));
+        return;
+      }
+      const Impl* x = ps[0].impl();
+      const Impl* w = ps[1].impl();
+      const Impl* b = ps[2].impl();
+      if (x->cols != w->rows) {
+        Add("shape-mismatch", Describe(n) + ": inner dimensions " + ShapeOf(x) +
+                                  " * " + ShapeOf(w) + " do not agree");
+      }
+      if (b->rows != 1 || b->cols != w->cols) {
+        Add("shape-mismatch", Describe(n) + ": bias " + ShapeOf(b) +
+                                  " is not a [1 x " + std::to_string(w->cols) +
+                                  "] row");
+      }
+      if (n->rows != x->rows || n->cols != w->cols) {
+        Add("shape-mismatch", Describe(n) + ": output should be [" +
+                                  std::to_string(x->rows) + " x " +
+                                  std::to_string(w->cols) + "]");
+      }
     } else if (IsElementwiseBinary(n)) {
       if (ps.size() != 2) {
         Add("shape-mismatch", Describe(n) + " expects 2 parents, has " +

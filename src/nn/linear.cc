@@ -17,7 +17,11 @@ Linear::Linear(std::string name, int in_features, int out_features, Rng* rng,
 }
 
 Tensor Linear::Forward(const Tensor& x) const {
-  return ops::Add(ops::MatMul(x, weight_), bias_);
+  return ops::Dense(x, weight_, bias_, /*relu=*/false);
+}
+
+Tensor Linear::ForwardRelu(const Tensor& x) const {
+  return ops::Dense(x, weight_, bias_, /*relu=*/true);
 }
 
 }  // namespace nn

@@ -19,8 +19,13 @@ class Linear : public Module {
   Linear(std::string name, int in_features, int out_features, Rng* rng,
          const std::string& activation_hint = "sigmoid");
 
-  /// Applies the layer to a [batch x in] activation.
+  /// Applies the layer to a [batch x in] activation: x W + b as one fused
+  /// ops::Dense node, bit-identical to Add(MatMul(x, W), b).
   Tensor Forward(const Tensor& x) const;
+
+  /// relu(x W + b) as one fused ops::Dense node, bit-identical to
+  /// Relu(Forward(x)) without the intermediate pre-activation tensor.
+  Tensor ForwardRelu(const Tensor& x) const;
 
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }

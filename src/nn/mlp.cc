@@ -29,16 +29,15 @@ Mlp::Mlp(std::string name, int in_features, std::vector<int> hidden_dims,
 Tensor Mlp::Forward(const Tensor& x) const {
   Tensor h = x;
   for (const auto& layer : layers_) {
-    h = layer->Forward(h);
     switch (activation_) {
       case Activation::kRelu:
-        h = ops::Relu(h);
+        h = layer->ForwardRelu(h);
         break;
       case Activation::kTanh:
-        h = ops::Tanh(h);
+        h = ops::Tanh(layer->Forward(h));
         break;
       case Activation::kSigmoid:
-        h = ops::Sigmoid(h);
+        h = ops::Sigmoid(layer->Forward(h));
         break;
     }
   }

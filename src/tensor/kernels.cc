@@ -361,6 +361,150 @@ void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
   }
 }
 
+namespace {
+
+/// Transposes the 8 x 8 block whose rows are r[0..7] in place, so r[p]
+/// becomes column p: (r[0][p], ..., r[7][p]).
+inline void Transpose8x8(Vf r[kSimdWidth]) {
+  Vf t[kSimdWidth], u[kSimdWidth];
+  for (int q = 0; q < 4; ++q) {
+    t[2 * q] = __builtin_shufflevector(r[2 * q], r[2 * q + 1], 0, 8, 1, 9, 4,
+                                       12, 5, 13);
+    t[2 * q + 1] = __builtin_shufflevector(r[2 * q], r[2 * q + 1], 2, 10, 3,
+                                           11, 6, 14, 7, 15);
+  }
+  for (int h = 0; h < 2; ++h) {
+    for (int q = 0; q < 2; ++q) {
+      const Vf lo = t[4 * h + q], hi = t[4 * h + q + 2];
+      u[4 * h + 2 * q] =
+          __builtin_shufflevector(lo, hi, 0, 1, 8, 9, 4, 5, 12, 13);
+      u[4 * h + 2 * q + 1] =
+          __builtin_shufflevector(lo, hi, 2, 3, 10, 11, 6, 7, 14, 15);
+    }
+  }
+  for (int q = 0; q < 4; ++q) {
+    r[q] = __builtin_shufflevector(u[q], u[q + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    r[q + 4] =
+        __builtin_shufflevector(u[q], u[q + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
+
+/// n = 1 forward, rows [i0, i0 + 8 * blocks): SIMD lanes over eight rows,
+/// one FMA chain per row over ascending p, the chain the micro-kernel builds
+/// for that output, then the epilogue. `w` is B's column at stride `ws`.
+void DenseRowsGemv(const float* a, const float* w, std::size_t ws, float bias,
+                   bool relu, float* y, int k, std::int64_t i0,
+                   std::int64_t blocks) {
+  for (std::int64_t blk = 0; blk < blocks; ++blk) {
+    const float* rows = a + (i0 + blk * kSimdWidth) * k;
+    Vf acc = Vf{};
+    int p = 0;
+    for (; p + kSimdWidth <= k; p += kSimdWidth) {
+      Vf col[kSimdWidth];
+      for (int r = 0; r < kSimdWidth; ++r) {
+        col[r] = LoadV(rows + static_cast<std::size_t>(r) * k + p);
+      }
+      Transpose8x8(col);
+      for (int q = 0; q < kSimdWidth; ++q) {
+        acc += col[q] * Splat(w[(p + q) * ws]);
+      }
+    }
+    for (; p < k; ++p) {
+      Vf col;
+      for (int r = 0; r < kSimdWidth; ++r) {
+        col[r] = rows[static_cast<std::size_t>(r) * k + p];
+      }
+      acc += col * Splat(w[p * ws]);
+    }
+    Vf v = acc + Splat(bias);
+    if (relu) v = VMax(v, Vf{});
+    StoreV(y + i0 + blk * kSimdWidth, v);
+  }
+}
+
+}  // namespace
+
+void DenseRowsPacked(const float* a, const float* packed, const float* bias,
+                     bool relu, float* y, int k, int n, std::int64_t i0,
+                     std::int64_t i1) {
+  if (n == 1) {
+    // The 1-unit heads: a 16-column panel would be 15/16 padding. Whole
+    // 8-row blocks run the row-lane GEMV, the ragged rows fall through to
+    // the panel kernel below; both build the same chains.
+    const std::int64_t blocks = (i1 - i0) / kSimdWidth;
+    DenseRowsGemv(a, packed, kGemmColTile, bias[0], relu, y, k, i0, blocks);
+    i0 += blocks * kSimdWidth;
+  }
+  // Blocks of a few row tiles, so the epilogue rereads rows the micro-kernel
+  // has just stored while they are still in L1. The GEMM is partition-
+  // invariant, so the blocking changes no bit.
+  constexpr std::int64_t kBlockRows = 8 * kGemmRowTile;
+  for (std::int64_t b0 = i0; b0 < i1; b0 += kBlockRows) {
+    const std::int64_t b1 = std::min(i1, b0 + kBlockRows);
+    GemmRows<false>(a, k, 1, packed, k, y, n, b0, b1);
+    for (std::int64_t i = b0; i < b1; ++i) {
+      float* row = y + i * n;
+      int j = 0;
+      for (; j + kSimdWidth <= n; j += kSimdWidth) {
+        Vf v = LoadV(row + j) + LoadV(bias + j);
+        if (relu) v = VMax(v, Vf{});
+        StoreV(row + j, v);
+      }
+      // The same two float ops per lane in scalar form: a padded vector here
+      // would reload what the micro-kernel's partial store just wrote, and
+      // that store-to-load stall costs more than the n = 1 head's GEMM.
+      for (; j < n; ++j) {
+        const float v = row[j] + bias[j];
+        row[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
+      }
+    }
+  }
+}
+
+void DenseGradPrepass(const float* dy, const float* y, bool relu, float* dz,
+                      float* packed_dz, float* db, int m, int n) {
+  // Panel-outer, row-inner: the packed panel is written sequentially and the
+  // panel's bias sums stay in registers across all m rows. Each bias lane is
+  // one add chain over ascending rows, the order of Add's column loop.
+  for (int j0 = 0; j0 < n; j0 += kGemmColTile) {
+    const int n0 = std::min(kSimdWidth, n - j0);
+    const int n1 = std::min(kSimdWidth, n - j0 - n0);
+    const auto load = [](const float* p, int lanes) {
+      return lanes > 0 ? LoadLanes(p, lanes) : Vf{};
+    };
+    Vf sum0 = db != nullptr ? load(db + j0, n0) : Vf{};
+    Vf sum1 = db != nullptr ? load(db + j0 + kSimdWidth, n1) : Vf{};
+    float* panel =
+        packed_dz != nullptr ? packed_dz + static_cast<std::size_t>(j0) * m
+                             : nullptr;
+    for (int i = 0; i < m; ++i) {
+      const std::size_t off = static_cast<std::size_t>(i) * n + j0;
+      Vf t0 = load(dy + off, n0);
+      Vf t1 = load(dy + off + kSimdWidth, n1);
+      if (relu) {
+        t0 = Vf{} + ((load(y + off, n0) > Vf{}) ? t0 : Vf{});
+        t1 = Vf{} + ((load(y + off + kSimdWidth, n1) > Vf{}) ? t1 : Vf{});
+      }
+      sum0 += t0;
+      sum1 += t1;
+      const Vf d0 = Vf{} + t0;
+      const Vf d1 = Vf{} + t1;
+      StoreLanes<false>(dz + off, d0, n0);
+      StoreLanes<false>(dz + off + kSimdWidth, d1, n1);
+      if (panel != nullptr) {
+        // Padding lanes loaded as zero stay +0: the panel's zero padding.
+        StoreV(panel + static_cast<std::size_t>(i) * kGemmColTile, d0);
+        StoreV(panel + static_cast<std::size_t>(i) * kGemmColTile + kSimdWidth,
+               d1);
+      }
+    }
+    if (db != nullptr) {
+      StoreLanes<false>(db + j0, sum0, n0);
+      StoreLanes<false>(db + j0 + kSimdWidth, sum1, n1);
+    }
+  }
+}
+
 // --- Elementwise maps ------------------------------------------------------
 // Each body runs one lane-wise vector expression over full blocks, then the
 // SAME expression on a zero-padded register for the tail; only valid lanes

@@ -28,8 +28,8 @@ namespace kernels {
 //    identical in every row-tile variant; the backward entry points then
 //    add the finished chain into the gradient in one add. So an output is
 //    bit-identical regardless of how rows are chunked across threads or
-//    which row-remainder kernel computes it. The n = 1 dB GEMV builds the
-//    same chain for each element.
+//    which row-remainder kernel computes it. The n = 1 dB GEMV and the
+//    n = 1 dense forward GEMV build the same chain for each element.
 //  * Transcendentals (VExp/VLog inside) are polynomial implementations that
 //    agree with libm to a few ulp but are NOT bit-identical to libm; exact
 //    identities that tests rely on are preserved by construction:
@@ -83,6 +83,28 @@ void GemmGradBRowsPacked(const float* a, const float* packed_dc, float* db,
 /// SIMD lanes over p and i ascending. No packing.
 void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
                        int k, std::int64_t p0, std::int64_t p1);
+
+// --- Fused dense layer: Y = act(A * B + bias), act = ReLU or identity ------
+
+/// Rows [i0, i1) of Y from GemmPackB(B): GemmRowsPacked, then a lane-wise
+/// epilogue y = c + bias[j] and, when `relu`, max(y, 0) — the exact float
+/// ops of Add's row broadcast and MapRelu, so Y is bit-identical to the
+/// MatMul + Add + Relu composite. At n = 1 whole 8-row blocks run a
+/// row-lane GEMV that builds the same FMA chains. Safe to call
+/// concurrently for disjoint row ranges.
+void DenseRowsPacked(const float* a, const float* packed, const float* bias,
+                     bool relu, float* y, int k, int n, std::int64_t i0,
+                     std::int64_t i1);
+
+/// Backward pre-pass of the fused dense layer, one serial sweep over dY
+/// [m x n] (`y` is the layer output, read only when `relu`). With
+/// t = relu ? 0 + (y > 0 ? dY : 0) : dY, it adds t into `db` (when non-null)
+/// in ascending row order, as Add's backward would, and writes the GEMM
+/// gradient dZ = 0 + t row-major into `dz` and, when `packed_dz` is
+/// non-null, also in GemmPackB(dZ, m, n) layout. The `0 +` reproduces the
+/// composite's accumulate-into-zeroed-gradient, sign of zero included.
+void DenseGradPrepass(const float* dy, const float* y, bool relu, float* dz,
+                      float* packed_dz, float* db, int m, int n);
 
 // --- Elementwise maps over [i0, i1) of contiguous buffers ------------------
 // Forward kernels overwrite y; *Grad kernels ACCUMULATE into the gradient

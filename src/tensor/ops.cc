@@ -228,18 +228,65 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
   return out;
 }
 
-/// Per-thread scratch for the GEMM micro-kernel's packed right operand (no
-/// allocation in the serving or training steady state). A pointer stays
-/// valid through the caller's ParallelFor: worker threads only read it, and
-/// MatMul's forward and backward never nest inside another MatMul. Each call
-/// reuses the buffer, so one GEMM's packed operand is dead once the next is
-/// packed.
-float* PackScratch(std::int64_t floats) {
-  thread_local std::vector<float> scratch;
-  if (static_cast<std::int64_t>(scratch.size()) < floats) {
-    scratch.resize(static_cast<std::size_t>(floats));
+/// Per-thread scratch for the GEMM operands packed or staged before a
+/// ParallelFor (no allocation in the serving or training steady state). A
+/// pointer stays valid through the caller's ParallelFor: worker threads only
+/// read it, and MatMul's and Dense's forward and backward never nest inside
+/// one another. Each call reuses its slot's buffer, so what a slot held is
+/// dead once the slot is filled again; Dense's backward keeps dZ in two slots
+/// while the shared GEMM backward packs B^T into the third.
+enum ScratchSlot { kPackedOperand, kDenseGradRows, kPackedGrad, kScratchSlots };
+
+float* GemmScratch(ScratchSlot slot, std::int64_t floats) {
+  thread_local std::vector<float> scratch[kScratchSlots];
+  std::vector<float>& buf = scratch[slot];
+  if (static_cast<std::int64_t>(buf.size()) < floats) {
+    buf.resize(static_cast<std::size_t>(floats));
   }
-  return scratch.data();
+  return buf.data();
+}
+
+/// Backward of C = A * B for both MatMul and Dense: dA += dC * B^T and
+/// dB += A^T * dC, each when its tensor requires grad. `packed_dc` is
+/// GemmPackB(dC, m, n) when the caller already built it (Dense's pre-pass);
+/// null means pack here. Both gradients run the forward's micro-kernel on an
+/// operand packed once before the ParallelFor. Every gradient element is one
+/// FMA chain over its ascending reduction index plus one add into the
+/// buffer, so the row partition (thread count) never changes a bit. At n = 1
+/// dB skips packing for a GEMV (a 16-lane panel would be 15/16 padding).
+void GemmBackward(const float* dc, const float* packed_dc, Tensor& a,
+                  Tensor& b, int m, int k, int n) {
+  // dL/dA = dL/dC * B^T -> [m x k]; chunks own disjoint rows of dA.
+  if (a.requires_grad()) {
+    float* ag = a.impl()->EnsureGrad();
+    float* bt = GemmScratch(kPackedOperand, kernels::GemmPackedSize(n, k));
+    kernels::GemmPackBT(b.data(), k, n, bt);
+    ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
+                [&](std::int64_t i0, std::int64_t i1) {
+                  kernels::GemmGradARowsPacked(dc, bt, ag, k, n, i0, i1);
+                });
+  }
+  // dL/dB = A^T * dL/dC -> [k x n]; chunks own disjoint rows of dB.
+  if (b.requires_grad()) {
+    float* bg = b.impl()->EnsureGrad();
+    const float* a_d = a.data();
+    const std::int64_t grain =
+        RowGrain(kMatMulGrain, static_cast<std::int64_t>(m) * n);
+    if (n == 1) {
+      ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
+        kernels::GemmGradBRowsGemv(a_d, dc, bg, m, k, p0, p1);
+      });
+    } else {
+      if (packed_dc == nullptr) {
+        float* packed = GemmScratch(kPackedGrad, kernels::GemmPackedSize(m, n));
+        kernels::GemmPackB(dc, m, n, packed);
+        packed_dc = packed;
+      }
+      ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
+        kernels::GemmGradBRowsPacked(a_d, packed_dc, bg, m, k, n, p0, p1);
+      });
+    }
+  }
 }
 
 }  // namespace
@@ -255,7 +302,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // zero-padded panels once, then row chunks run the register-tiled
   // micro-kernel. Output values are invariant to the row partition, so any
   // thread count produces identical bits.
-  float* packed = PackScratch(kernels::GemmPackedSize(k, n));
+  float* packed = GemmScratch(kPackedOperand, kernels::GemmPackedSize(k, n));
   kernels::GemmPackB(b.data(), k, n, packed);
   ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
               [&](std::int64_t i0, std::int64_t i1) {
@@ -265,42 +312,50 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     Tensor a_cap = a, b_cap = b;
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, b_cap, self, m, k, n]() mutable {
-      const float* og = self->EnsureGrad();
-      // Both gradients run the forward's micro-kernel on an operand packed
-      // once here, before the ParallelFor. Every gradient element is one FMA
-      // chain over its ascending reduction index plus one add into the
-      // buffer, so the row partition (thread count) never changes a bit. At
-      // n = 1 dB skips packing for a GEMV (a 16-lane panel would be 15/16
-      // padding).
-      // dL/dA = dL/dOut * B^T -> [m x k]; chunks own disjoint rows of dA.
-      if (a_cap.requires_grad()) {
-        float* ag = a_cap.impl()->EnsureGrad();
-        float* bt = PackScratch(kernels::GemmPackedSize(n, k));
-        kernels::GemmPackBT(b_cap.data(), k, n, bt);
-        ParallelFor(0, m,
-                    RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
-                    [&](std::int64_t i0, std::int64_t i1) {
-                      kernels::GemmGradARowsPacked(og, bt, ag, k, n, i0, i1);
-                    });
-      }
-      // dL/dB = A^T * dL/dOut -> [k x n]; chunks own disjoint rows of dB.
-      if (b_cap.requires_grad()) {
-        float* bg = b_cap.impl()->EnsureGrad();
-        const float* a_d = a_cap.data();
-        const std::int64_t grain =
-            RowGrain(kMatMulGrain, static_cast<std::int64_t>(m) * n);
-        if (n == 1) {
-          ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
-            kernels::GemmGradBRowsGemv(a_d, og, bg, m, k, p0, p1);
-          });
-        } else {
-          float* dc = PackScratch(kernels::GemmPackedSize(m, n));
-          kernels::GemmPackB(og, m, n, dc);
-          ParallelFor(0, k, grain, [&](std::int64_t p0, std::int64_t p1) {
-            kernels::GemmGradBRowsPacked(a_d, dc, bg, m, k, n, p0, p1);
-          });
-        }
-      }
+      GemmBackward(self->EnsureGrad(), /*packed_dc=*/nullptr, a_cap, b_cap, m,
+                   k, n);
+    });
+  }
+  return out;
+}
+
+Tensor Dense(const Tensor& x, const Tensor& w, const Tensor& b, bool relu) {
+  if (x.cols() != w.rows()) Fatal("Dense inner dimensions mismatch");
+  if (b.rows() != 1 || b.cols() != w.cols()) {
+    Fatal("Dense bias must be a [1 x out] row");
+  }
+  const int m = x.rows(), k = x.cols(), n = w.cols();
+  Tensor out = Tensor::MakeNode(
+      m, n, {x, w, b},
+      x.requires_grad() || w.requires_grad() || b.requires_grad());
+  out.SetOp("dense");
+  const float* xd = x.data();
+  const float* bd = b.data();
+  float* od = out.data();
+  // MatMul's packed GEMM with the bias add and ReLU applied to each row
+  // block right after the micro-kernel stores it (DESIGN.md §14).
+  float* packed = GemmScratch(kPackedOperand, kernels::GemmPackedSize(k, n));
+  kernels::GemmPackB(w.data(), k, n, packed);
+  ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
+              [&](std::int64_t i0, std::int64_t i1) {
+                kernels::DenseRowsPacked(xd, packed, bd, relu, od, k, n, i0,
+                                         i1);
+              });
+  if (out.requires_grad()) {
+    Tensor x_cap = x, w_cap = w, b_cap = b;
+    Tensor::Impl* self = out.impl();
+    out.SetBackwardFn([x_cap, w_cap, b_cap, self, m, k, n, relu]() mutable {
+      // One serial pass turns dY into the GEMM gradient dZ (ReLU mask), sums
+      // the bias gradient and packs dZ for dW; then the shared GEMM backward.
+      float* dz = GemmScratch(kDenseGradRows, static_cast<std::int64_t>(m) * n);
+      float* packed_dz =
+          w_cap.requires_grad() && n > 1
+              ? GemmScratch(kPackedGrad, kernels::GemmPackedSize(m, n))
+              : nullptr;
+      float* bg = b_cap.requires_grad() ? b_cap.impl()->EnsureGrad() : nullptr;
+      kernels::DenseGradPrepass(self->EnsureGrad(), self->data.data(), relu, dz,
+                                packed_dz, bg, m, n);
+      GemmBackward(dz, packed_dz, x_cap, w_cap, m, k, n);
     });
   }
   return out;

@@ -18,6 +18,15 @@ namespace ops {
 /// Matrix product: [m x k] * [k x n] -> [m x n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Fused dense layer act(x W + b) for x [m x k], W [k x n] and a bias row
+/// b [1 x n]; act is ReLU when `relu`, else the identity. One graph node and
+/// one output buffer replace MatMul + Add (+ Relu), bit-identical to that
+/// composite in values and in the x, W and b gradients at any thread count
+/// (DESIGN.md §14). The bias add and ReLU run on each GEMM row block as it
+/// is stored; backward makes one pass over dOut (ReLU mask, bias column sum
+/// in ascending row order, packing for dW), then runs MatMul's GEMMs.
+Tensor Dense(const Tensor& x, const Tensor& w, const Tensor& b, bool relu);
+
 /// Elementwise a + b (broadcasting b).
 Tensor Add(const Tensor& a, const Tensor& b);
 

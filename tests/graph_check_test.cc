@@ -178,6 +178,26 @@ TEST(GraphCheckTest, RejectsMatMulShapeMismatch) {
   EXPECT_TRUE(HasKind(result, "shape-mismatch")) << result.Report();
 }
 
+TEST(GraphCheckTest, RejectsDenseShapeMismatch) {
+  // Hand-built fused dense node whose bias row is 4 wide while W has 5
+  // columns; x * W itself agrees.
+  Tensor x = Tensor::Full(2, 3, 1.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::Full(3, 5, 1.0f);
+  Tensor b = Tensor::Full(1, 4, 0.0f);
+  Tensor bad = Tensor::MakeNode(2, 5, {x, w, b}, /*requires_grad=*/true);
+  bad.SetOp("dense");
+  bad.SetBackwardFn([] {});
+  Tensor loss = ops::Sum(bad);
+  const nn::GraphCheckResult result = nn::CheckGraph(loss);
+  EXPECT_TRUE(HasKind(result, "shape-mismatch")) << result.Report();
+  EXPECT_NE(result.Report().find("bias"), std::string::npos) << result.Report();
+  // The real op builds a node the checker accepts.
+  Tensor good_w = Tensor::Full(3, 5, 0.5f, /*requires_grad=*/true);
+  Tensor good_b = Tensor::Full(1, 5, 0.1f, /*requires_grad=*/true);
+  const Tensor good = ops::Sum(ops::Dense(x, good_w, good_b, /*relu=*/true));
+  EXPECT_TRUE(nn::CheckGraph(good, {good_w, good_b}).ok());
+}
+
 TEST(GraphCheckTest, RejectsElementwiseShapeMismatch) {
   // "add" with incompatible (non-broadcastable) parent shapes.
   Tensor a = Tensor::Full(4, 3, 1.0f, /*requires_grad=*/true);

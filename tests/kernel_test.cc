@@ -1,6 +1,7 @@
-// Kernel-layer correctness: the fused ops (SigmoidBce, EmbeddingConcat,
-// Mean, WeightedSum, SquaredNorm) against their unfused reference
-// composites (ops::reference), the vectorized elementwise family against
+// Kernel-layer correctness: the fused ops (Dense, SigmoidBce,
+// EmbeddingConcat, Mean, WeightedSum, SquaredNorm) against their unfused
+// composites (ops::reference, or public ops for Dense), the vectorized
+// elementwise family against
 // libm, and the SIMD GEMM (forward and both backward products) against a
 // double-precision reference — on
 // randomized shapes chosen to stress the 8-lane SIMD tails (widths that are
@@ -9,6 +10,8 @@
 // Contract being verified (DESIGN.md §14):
 //  - fused reductions are BIT-identical to their composites, values and
 //    gradients, at any thread count;
+//  - Dense is bit-identical to MatMul + Add (+ Relu), values and the x, W
+//    and b gradients, NaN and signed zeros included, at 1 and 4 threads;
 //  - EmbeddingConcat is bit-identical to per-field lookup+concat (both are
 //    pure copies);
 //  - SigmoidBce matches BceLoss(Sigmoid(z), y) within float tolerance where
@@ -20,7 +23,10 @@
 //    BIT-identical at 1 and 4 threads under that forced sharding.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -404,6 +410,129 @@ TEST_F(KernelTest, MatMulBackwardBitIdenticalAtOneAndFourThreads) {
   }
 }
 
+// --- Dense: bit-identical to the MatMul + Add (+ Relu) composite ------------
+
+struct DenseInputs {
+  int m, k, n;
+  std::vector<float> x, w, b;  // forward operands
+  std::vector<float> dy;       // upstream gradient dOut [m x n]
+  std::vector<float> dx0, dw0, db0;  // leaf gradients before backward
+};
+
+struct DenseRun {
+  std::vector<float> y, dx, dw, db;
+};
+
+/// Random operands for Dense at (m, k, n) with planted edge values: x row 0
+/// is all signed zeros, so its pre-activations are exactly bias + 0; b holds
+/// +0.0 and -0.0; x row 2 carries a NaN (a NaN pre-activation row) and so
+/// does dOut on that row (which ReLU must mask to 0); dOut and the leaf
+/// gradients hold -0.0 entries, the values the `0 +` accumulate-into-zero
+/// of the composite is sensitive to.
+DenseInputs MakeDenseInputs(int m, int k, int n, Rng* rng) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  DenseInputs in{m, k, n, UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, rng),
+                 UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, rng),
+                 UniformValues(n, -0.5f, 0.5f, rng),
+                 UniformValues(std::int64_t{m} * n, -1.0f, 1.0f, rng),
+                 UniformValues(std::int64_t{m} * k, -1.0f, 1.0f, rng),
+                 UniformValues(std::int64_t{k} * n, -1.0f, 1.0f, rng),
+                 UniformValues(n, -1.0f, 1.0f, rng)};
+  for (int p = 0; p < k; ++p) in.x[p] = p % 2 == 0 ? 0.0f : -0.0f;
+  in.b[0] = 0.0f;
+  in.b[n - 1] = -0.0f;
+  if (m >= 3) {
+    in.x[2 * k] = nan;
+    in.dy[2 * n] = nan;
+  }
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if ((i + j) % 5 == 0) in.dy[i * n + j] = -0.0f;
+    }
+  }
+  for (int j = 0; j < n; j += 2) in.db0[j] = -0.0f;
+  in.dx0[0] = -0.0f;
+  in.dw0[0] = -0.0f;
+  return in;
+}
+
+/// Forward and backward of ops::Dense (`fused`) or of its composite, with
+/// dOut equal to `in.dy` bit for bit: dy is seeded into the output's
+/// gradient and the WeightedSum loss against all -0.0 weights adds -0.0 to
+/// it, which keeps every value, -0.0 and NaN included.
+DenseRun RunDense(bool fused, bool relu, const DenseInputs& in) {
+  Tensor x = Tensor::FromData(in.m, in.k, in.x, /*requires_grad=*/true);
+  Tensor w = Tensor::FromData(in.k, in.n, in.w, /*requires_grad=*/true);
+  Tensor b = Tensor::FromData(1, in.n, in.b, /*requires_grad=*/true);
+  std::copy(in.dx0.begin(), in.dx0.end(), x.grad());
+  std::copy(in.dw0.begin(), in.dw0.end(), w.grad());
+  std::copy(in.db0.begin(), in.db0.end(), b.grad());
+  Tensor y;
+  if (fused) {
+    y = ops::Dense(x, w, b, relu);
+  } else {
+    y = ops::Add(ops::MatMul(x, w), b);
+    if (relu) y = ops::Relu(y);
+  }
+  std::copy(in.dy.begin(), in.dy.end(), y.grad());
+  const std::vector<float> neg_zero(in.dy.size(), -0.0f);
+  ops::WeightedSum(y, Tensor::FromData(in.m, in.n, neg_zero)).Backward();
+  auto copy = [](const Tensor& t, const float* p) {
+    return std::vector<float>(p, p + t.size());
+  };
+  return {copy(y, y.data()), copy(x, x.grad()), copy(w, w.grad()),
+          copy(b, b.grad())};
+}
+
+/// Index of the first element whose bit pattern differs, or -1. Bit
+/// patterns, not EXPECT_EQ: NaN != NaN, and 0.0 == -0.0.
+std::int64_t FirstBitMismatch(const std::vector<float>& a,
+                              const std::vector<float>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return static_cast<std::int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+TEST_F(KernelTest, DenseBitIdenticalToComposite) {
+  Rng rng(23);
+  const int tower = AeEsTowerInputWidth();
+  // The three tower layers at batch 1024, then ragged shapes: m = 1, k = 1
+  // and n around the 8-lane vector and the 16-column panel.
+  std::vector<std::array<int, 3>> dims = {
+      {1024, tower, 64}, {1024, 64, 32}, {1024, 32, 1}};
+  for (int n : {1, 7, 15, 17, 33}) {
+    dims.push_back({1, 5, n});
+    dims.push_back({9, 1, n});
+    dims.push_back({13, 17, n});
+  }
+  for (const auto& d : dims) {
+    const DenseInputs in = MakeDenseInputs(d[0], d[1], d[2], &rng);
+    for (bool relu : {false, true}) {
+      for (int threads : {1, 4}) {
+        UseThreads(threads, /*force_sharding=*/threads > 1);
+        const DenseRun fused = RunDense(/*fused=*/true, relu, in);
+        const DenseRun composite = RunDense(/*fused=*/false, relu, in);
+        const std::string where = std::to_string(d[0]) + "x" +
+                                  std::to_string(d[1]) + "x" +
+                                  std::to_string(d[2]) +
+                                  (relu ? " relu " : " linear ") +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(FirstBitMismatch(fused.y, composite.y), -1) << where << " y";
+        EXPECT_EQ(FirstBitMismatch(fused.dx, composite.dx), -1)
+            << where << " dx";
+        EXPECT_EQ(FirstBitMismatch(fused.dw, composite.dw), -1)
+            << where << " dW";
+        EXPECT_EQ(FirstBitMismatch(fused.db, composite.db), -1)
+            << where << " db";
+      }
+    }
+  }
+}
+
 // --- Gradcheck for every fused op at 1 and 4 threads -------------------------
 
 TEST_F(KernelTest, FusedOpsPassGradcheckAtOneAndFourThreads) {
@@ -446,6 +575,17 @@ TEST_F(KernelTest, FusedOpsPassGradcheckAtOneAndFourThreads) {
       const GradCheckResult r = CheckGradients(
           [&] { return ops::Mean(ops::EmbeddingConcat(tables, ids)); }, tables);
       EXPECT_TRUE(r.ok) << threads << " threads, EmbeddingConcat: " << r.worst;
+    }
+    for (bool relu : {false, true}) {
+      Tensor x = Tensor::Uniform(6, 5, -1.0f, 1.0f, &rng, /*requires_grad=*/true);
+      Tensor w = Tensor::Uniform(5, 9, -1.0f, 1.0f, &rng, /*requires_grad=*/true);
+      Tensor b = Tensor::Uniform(1, 9, -1.0f, 1.0f, &rng, /*requires_grad=*/true);
+      const Tensor weights = Tensor::Uniform(6, 9, -1.0f, 1.0f, &rng);
+      const GradCheckResult r = CheckGradients(
+          [&] { return ops::WeightedSum(ops::Dense(x, w, b, relu), weights); },
+          {x, w, b});
+      EXPECT_TRUE(r.ok) << threads << " threads, Dense relu=" << relu << ": "
+                        << r.worst;
     }
   }
 }

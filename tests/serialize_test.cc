@@ -347,6 +347,40 @@ TEST(SerializeTest, LateMismatchLeavesEveryParameterUntouched) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, EmptyVectorsRoundTrip) {
+  // An empty vector's data() may be null; writing and reading one must not
+  // hand that pointer to memcpy (a strict UBSan build aborts on it).
+  nn::PayloadWriter w;
+  w.F32Vec({});
+  w.F64Vec({});
+  w.I64Vec({});
+  w.I32Vec({});
+  w.U8Vec({});
+  w.Str("");
+  w.U32(7);
+  nn::PayloadReader r(w.data());
+  // Never-allocated vectors: their data() is null when the reader copies.
+  std::vector<float> f32;
+  std::vector<double> f64;
+  std::vector<std::int64_t> i64;
+  std::vector<std::int32_t> i32;
+  std::vector<std::uint8_t> u8;
+  std::string s = "x";
+  std::uint32_t tail = 0;
+  ASSERT_TRUE(r.F32Vec(&f32));
+  ASSERT_TRUE(r.F64Vec(&f64));
+  ASSERT_TRUE(r.I64Vec(&i64));
+  ASSERT_TRUE(r.I32Vec(&i32));
+  ASSERT_TRUE(r.U8Vec(&u8));
+  ASSERT_TRUE(r.Str(&s));
+  ASSERT_TRUE(r.U32(&tail));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_TRUE(f32.empty() && f64.empty() && i64.empty() && i32.empty() &&
+              u8.empty());
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(tail, 7u);
+}
+
 TEST(SerializeTest, TornSaveKeepsPreviousCheckpointLoadable) {
   Rng rng(25);
   nn::Mlp original("mlp", 6, {8}, &rng);

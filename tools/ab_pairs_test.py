@@ -57,6 +57,21 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(ab_pairs.verdict(BASE, list(BASE), "higher", 0.02)
                          ["verdict"], "same")
 
+    def test_same_bits_counts_exactly_equal_pairs(self):
+        # Identical values in every pair, as a bit-identical cvr_auc gives.
+        self.assertEqual(ab_pairs.verdict(BASE, list(BASE), "higher", 0.02)
+                         ["same_bits"], 10)
+        # One ulp apart is not the same bits; a bad run on either side
+        # never counts.
+        head = list(BASE)
+        head[0] = 100.00000000000001
+        head[1] = None
+        base = list(BASE)
+        base[2] = None
+        s = ab_pairs.verdict(base, head, "higher", 0.02)
+        self.assertNotEqual(head[0], base[0])
+        self.assertEqual((s["same_bits"], s["pairs"]), (7, 10))
+
     def test_unbounded_metric_can_lose(self):
         head = [v * 1.5 for v in BASE]
         self.assertEqual(ab_pairs.verdict(BASE, head, "lower", None)["verdict"],
