@@ -103,8 +103,6 @@ const ClosedLoopResult& RunClosedLoopOnce() {
     serve::RouterConfig config;
     config.num_engines = 2;
     config.engine.max_batch = 32;
-    config.engine.max_wait_micros = 200;
-    config.default_deadline_micros = 50000;  // 50ms budget per request
     serve::Router router(MakeVersion(1), config);
     const ZipfSampler zipf(Generator().profile().num_users, kZipfExponent);
     obs::Histogram latency = obs::Registry::Global().histogram(

@@ -255,8 +255,6 @@ ContinualResult ContinualLoop::Run() {
   // --- Serving tier: one Router fleet, hot-swapped on every refresh. -------
   serve::RouterConfig router_config;
   router_config.num_engines = std::max(1, config_.router_engines);
-  router_config.engine.max_wait_micros = 0;  // sync scoring: flush instantly
-  router_config.default_deadline_micros = 0;  // no deadline drops in-loop
   std::unique_ptr<serve::Router> router;
 
   const auto publish = [&](std::unique_ptr<models::MultiTaskModel> model) {

@@ -130,7 +130,7 @@ struct ContinualResult {
   std::vector<ContinualDayResult> days;
   std::vector<StalenessRow> staleness;
   /// Router requests that did not resolve ok (must be 0: Swap is drop-free
-  /// and deadlines are disabled inside the loop).
+  /// and the loop's ScoreSync traffic never fills a queue).
   std::int64_t dropped_requests = 0;
   std::int64_t swaps = 0;      // republishes after the initial publish
   std::int64_t retrains = 0;   // including pretrain

@@ -4,8 +4,10 @@
 // Tiny argv flag parser shared by the paper-reproduction harnesses and the
 // command-line tools.
 // Supports --name=value and --name value forms; unknown flags abort with the
-// accepted list so harnesses stay self-documenting.
+// accepted list so harnesses stay self-documenting, and a numeric flag whose
+// value does not parse exits with the flag's name and value.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -40,9 +42,9 @@ class Flags {
   }
 
   std::string Get(const std::string& name) const { return values_.at(name); }
-  int GetInt(const std::string& name) const { return std::stoi(values_.at(name)); }
+  int GetInt(const std::string& name) const { return Parse<int>(name); }
   double GetDouble(const std::string& name) const {
-    return std::stod(values_.at(name));
+    return Parse<double>(name);
   }
   std::vector<std::string> GetList(const std::string& name) const {
     std::vector<std::string> out;
@@ -55,6 +57,22 @@ class Flags {
   }
 
  private:
+  /// The whole value must parse as a T in range; anything else (empty,
+  /// non-numeric, trailing junk, overflow) exits with status 2.
+  template <typename T>
+  T Parse(const std::string& name) const {
+    const std::string& text = values_.at(name);
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+                   text.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   [[noreturn]] void Die(const std::string& arg) const {
     std::fprintf(stderr, "unknown flag %s; accepted flags:\n", arg.c_str());
     for (const auto& [k, v] : values_) {

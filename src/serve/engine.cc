@@ -1,9 +1,9 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 namespace dcmt {
@@ -24,6 +24,18 @@ constexpr int kQueueDepthBins = 64;
 constexpr double kQueueDepthHi = 4096.0;
 constexpr int kLatencyBins = 64;
 constexpr double kLatencyHiSeconds = 1.0;
+// 20 us bins: a queue wait is tens of microseconds while the dispatcher
+// keeps up; waits past 1.28 ms clamp into the top bin.
+constexpr int kQueueWaitBins = 64;
+constexpr double kQueueWaitHiSeconds = 1.28e-3;
+
+bool IdsFit(const std::vector<int>& ids, const std::vector<int>& vocab) {
+  if (ids.size() != vocab.size()) return false;
+  for (std::size_t f = 0; f < ids.size(); ++f) {
+    if (ids[f] < 0 || ids[f] >= vocab[f]) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -35,6 +47,8 @@ const char* ServeStatusName(ServeStatus status) {
       return "rejected_shutdown";
     case ServeStatus::kRejectedOverload:
       return "rejected_overload";
+    case ServeStatus::kRejectedInvalid:
+      return "rejected_invalid";
   }
   return "unknown";
 }
@@ -52,10 +66,11 @@ Engine::Engine(ModelSource* source, EngineConfig config)
 }
 
 void Engine::Start() {
-  if (config_.max_batch < 1 || config_.queue_capacity < 1 ||
-      config_.max_wait_micros < 0) {
-    Fatal("EngineConfig: max_batch/queue_capacity must be >= 1, max_wait >= 0");
+  if (config_.max_batch < 1 || config_.queue_capacity < 1) {
+    Fatal("EngineConfig: max_batch/queue_capacity must be >= 1");
   }
+  deep_vocab_ = source_->schema().DeepVocabSizes();
+  wide_vocab_ = source_->schema().WideVocabSizes();
   obs::Registry& registry = obs::Registry::Global();
   obs_requests_ = registry.counter("dcmt_serve_requests_total");
   obs_batches_ = registry.counter("dcmt_serve_batches_total");
@@ -64,6 +79,9 @@ void Engine::Start() {
                                         kQueueDepthBins, 0.0, kQueueDepthHi);
   obs_batch_size_ = registry.histogram("dcmt_serve_batch_size", kBatchSizeBins,
                                        0.0, kBatchSizeHi);
+  obs_queue_wait_seconds_ =
+      registry.histogram("dcmt_serve_queue_wait_seconds", kQueueWaitBins, 0.0,
+                         kQueueWaitHiSeconds);
   obs_latency_seconds_ = registry.histogram(
       "dcmt_serve_request_latency_seconds", kLatencyBins, 0.0,
       kLatencyHiSeconds);
@@ -83,74 +101,60 @@ std::future<Score> Engine::RejectedFuture(ServeStatus status) {
   return future;
 }
 
-std::future<Score> Engine::Submit(data::Example example) {
-  std::promise<Score> promise;
-  std::future<Score> future = promise.get_future();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    queue_space_.wait(lk, [this] {
-      return static_cast<int>(queue_.size()) < config_.queue_capacity ||
-             stopping_;
-    });
-    if (stopping_) {
-      // Shutdown raced (or preceded) the enqueue: the request was never
-      // queued, so it resolves immediately with an explicit status instead
-      // of aborting the process (the pre-router engine did the latter).
-      ++stats_.rejected_shutdown;
-      lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedShutdown;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
-    }
-    Request request;
-    request.example = std::move(example);
-    request.promise = std::move(promise);
-    request.enqueue_ns = obs::NowNanos();
-    queue_.push_back(std::move(request));
-    ++stats_.submitted;
-    stats_.max_queue_depth = std::max(
-        stats_.max_queue_depth, static_cast<std::int64_t>(queue_.size()));
-    obs_queue_depth_.Observe(static_cast<double>(queue_.size()));
-  }
-  obs_requests_.Inc();
-  queue_ready_.notify_one();
-  return future;
+bool Engine::FitsSchema(const data::Example& example) const {
+  return IdsFit(example.deep_ids, deep_vocab_) &&
+         IdsFit(example.wide_ids, wide_vocab_);
 }
 
-std::future<Score> Engine::TrySubmit(data::Example example,
-                                     std::int64_t deadline_ns) {
-  std::promise<Score> promise;
-  std::future<Score> future = promise.get_future();
+std::future<Score> Engine::Submit(data::Example example) {
+  return Enqueue(std::move(example), /*block=*/true);
+}
+
+std::future<Score> Engine::TrySubmit(data::Example example) {
+  return Enqueue(std::move(example), /*block=*/false);
+}
+
+std::future<Score> Engine::Enqueue(data::Example example, bool block) {
+  // Admission runs before the lock: the check reads only the row and the
+  // immutable vocab bounds. A malformed row would otherwise abort the
+  // process inside the scoring kernels, taking every in-flight request
+  // with it.
+  const bool fits = FitsSchema(example);
+  std::future<Score> future;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (stopping_) {
-      ++stats_.rejected_shutdown;
-      lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedShutdown;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
+    ServeStatus rejected = ServeStatus::kOk;
+    if (!fits) {
+      rejected = ServeStatus::kRejectedInvalid;
+      ++stats_.rejected_invalid;
+    } else {
+      if (block) {
+        queue_space_.wait(lk, [this] {
+          return static_cast<int>(queue_.size()) < config_.queue_capacity ||
+                 stopping_;
+        });
+      }
+      if (stopping_) {
+        // Shutdown raced (or preceded) the enqueue: the request was never
+        // queued, so it resolves immediately with an explicit status.
+        rejected = ServeStatus::kRejectedShutdown;
+        ++stats_.rejected_shutdown;
+      } else if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
+        // Bounded queue + reject-with-status: the overload policy. Shedding
+        // here keeps queueing delay bounded by capacity instead of letting
+        // latency grow without bound past saturation.
+        rejected = ServeStatus::kRejectedOverload;
+        ++stats_.rejected_overload;
+      }
     }
-    if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
-      // Bounded queue + reject-with-status: the overload policy. Shedding
-      // here keeps queueing delay bounded by capacity instead of letting
-      // latency grow without bound past saturation.
-      ++stats_.rejected_overload;
+    if (rejected != ServeStatus::kOk) {
       lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedOverload;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
+      return RejectedFuture(rejected);
     }
     Request request;
     request.example = std::move(example);
-    request.promise = std::move(promise);
+    future = request.promise.get_future();
     request.enqueue_ns = obs::NowNanos();
-    request.deadline_ns = deadline_ns;
     queue_.push_back(std::move(request));
     ++stats_.submitted;
     stats_.max_queue_depth = std::max(
@@ -206,43 +210,19 @@ void Engine::DispatchLoop() {
       queue_ready_.wait(lk, [this] { return !queue_.empty() || stopping_; });
       if (queue_.empty()) break;  // stopping_ and fully drained
 
-      // Deadline policy. The flush deadline anchors at the enqueue of the
-      // first request of the *current* batch (== queue_.front(): the batch
-      // is always a prefix of the queue) — never at the previous flush —
-      // plus max_wait, tightened by the earliest per-request deadline among
-      // the rows that would be in the flush. Shutdown flushes immediately;
-      // drained requests still get scored.
-      auto flush_by = [this]() {
-        std::int64_t by =
-            queue_.front().enqueue_ns +
-            static_cast<std::int64_t>(config_.max_wait_micros) * 1000;
-        const int considered = std::min<int>(config_.max_batch,
-                                             static_cast<int>(queue_.size()));
-        for (int i = 0; i < considered; ++i) {
-          const std::int64_t d = queue_[static_cast<std::size_t>(i)].deadline_ns;
-          if (d > 0) by = std::min(by, d);
-        }
-        return by;
-      };
-      while (static_cast<int>(queue_.size()) < config_.max_batch &&
-             !stopping_) {
-        const std::int64_t remaining_ns = flush_by() - obs::NowNanos();
-        if (remaining_ns <= 0) break;
-        queue_ready_.wait_for(lk, std::chrono::nanoseconds(remaining_ns));
-      }
-
-      const int take = std::min<int>(config_.max_batch,
-                                     static_cast<int>(queue_.size()));
-      batch.reserve(static_cast<std::size_t>(take));
-      for (int i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      // Flush classification, one counter per flush. A full batch counts as
-      // flushed_full exactly once even when its deadline expired in the
-      // same instant (or shutdown raced it) — full wins, so the three
-      // counters always sum to `batches` with no double counting.
-      if (take >= config_.max_batch) {
+      // Work-conserving dispatch: take everything queued, up to max_batch,
+      // the moment the dispatcher is free. Rows that arrive while this
+      // batch scores queue up and form the next batch, so under load
+      // batches grow toward max_batch; under light load no row waits for
+      // company it does not need. Shutdown drains the same way.
+      const auto take = std::min<std::size_t>(
+          static_cast<std::size_t>(config_.max_batch), queue_.size());
+      const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(take);
+      batch.assign(std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(end));
+      queue_.erase(queue_.begin(), end);
+      // One counter per batch, so the three always sum to `batches`.
+      if (static_cast<int>(take) >= config_.max_batch) {
         ++stats_.flushed_full;
       } else if (stopping_) {
         ++stats_.flushed_drain;
@@ -256,17 +236,21 @@ void Engine::DispatchLoop() {
 }
 
 void Engine::ScoreAndFulfill(std::vector<Request>* batch) {
-  std::vector<data::Example> examples;
-  examples.reserve(batch->size());
-  for (const Request& request : *batch) examples.push_back(request.example);
-
   // Pin one model version for the whole batch: every row of the batch is
   // scored against the same FrozenModel, and the version cannot be retired
   // (hot swap) until Release — after the last promise is fulfilled.
   std::uint64_t ticket = 0;
   const FrozenModel* model = source_->Acquire(&ticket);
 
+  // The one clock read that starts scoring also ends each row's queue wait.
   const std::int64_t score_t0 = obs::NowNanos();
+  std::vector<data::Example> examples;
+  examples.reserve(batch->size());
+  for (Request& request : *batch) {
+    obs_queue_wait_seconds_.Observe(
+        static_cast<double>(score_t0 - request.enqueue_ns) * 1e-9);
+    examples.push_back(std::move(request.example));
+  }
   const ScoreColumns columns = model->ScoreExamples(examples);
   const std::int64_t done_ns = obs::NowNanos();
   obs_score_seconds_.Add(static_cast<double>(done_ns - score_t0) * 1e-9);

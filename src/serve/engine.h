@@ -24,15 +24,11 @@ namespace serve {
 
 /// Micro-batching policy knobs (DESIGN.md §13).
 struct EngineConfig {
-  /// Flush as soon as this many requests have coalesced.
+  /// Largest batch the dispatcher takes from the queue at once. A free
+  /// dispatcher never waits to fill it: it takes min(max_batch, queued)
+  /// rows as soon as any are queued, and rows that arrive while a batch
+  /// scores form the next one, so batches grow only with the backlog.
   int max_batch = 256;
-  /// Flush a partial batch this long after the first enqueue of the
-  /// *current* batch — i.e. the enqueue of the oldest request that will be
-  /// in the flush. The anchor is never the previous flush time: a request
-  /// that arrived while the dispatcher was busy scoring carries its own
-  /// enqueue timestamp, and its batch waits the full max_wait from *that*
-  /// moment (pinned by ServeTest.DeadlineAnchorsAtFirstEnqueueOfBatch).
-  int max_wait_micros = 200;
   /// Submit() blocks (backpressure) while this many requests are queued;
   /// TrySubmit() rejects with kRejectedOverload instead of blocking.
   int queue_capacity = 4096;
@@ -49,6 +45,10 @@ enum class ServeStatus : std::uint8_t {
   /// TrySubmit() found the bounded queue at capacity — the explicit
   /// load-shedding policy of the router tier (DESIGN.md §16).
   kRejectedOverload = 2,
+  /// The row does not fit the model's schema: a field count differs from
+  /// the schema's, or an id lies outside its field's vocabulary. Checked at
+  /// admission, so a malformed request never reaches the scoring kernels.
+  kRejectedInvalid = 3,
 };
 
 const char* ServeStatusName(ServeStatus status);
@@ -68,11 +68,17 @@ struct EngineStats {
   std::int64_t submitted = 0;
   std::int64_t scored = 0;
   std::int64_t batches = 0;
-  std::int64_t flushed_full = 0;      // batch reached max_batch
-  std::int64_t flushed_deadline = 0;  // max_wait or a request deadline expired
-  std::int64_t flushed_drain = 0;     // partial batch flushed while stopping
+  std::int64_t flushed_full = 0;  // batch reached max_batch
+  /// Partial batch: the free dispatcher took fewer than max_batch rows
+  /// because that was all that was queued. The name predates the
+  /// work-conserving dispatcher (partial batches used to wait for a flush
+  /// deadline); it stays because the benchmark's
+  /// engine.flush_deadline_share reads it.
+  std::int64_t flushed_deadline = 0;
+  std::int64_t flushed_drain = 0;  // partial batch taken while stopping
   std::int64_t rejected_shutdown = 0;  // Submit/TrySubmit after Shutdown
   std::int64_t rejected_overload = 0;  // TrySubmit against a full queue
+  std::int64_t rejected_invalid = 0;   // row does not fit the schema
   std::int64_t max_queue_depth = 0;
   std::int64_t max_batch_scored = 0;
 };
@@ -90,15 +96,20 @@ class ModelSource {
   /// back to Release. The returned model stays valid until Release.
   virtual const FrozenModel* Acquire(std::uint64_t* ticket) = 0;
   virtual void Release(std::uint64_t ticket) = 0;
+  /// Schema shared by every model this source hands out; admission checks
+  /// requests against it. Must stay valid for the source's lifetime.
+  virtual const data::FeatureSchema& schema() const = 0;
 };
 
 /// Micro-batching scoring engine over a FrozenModel (DESIGN.md §13).
 ///
 /// Producers Submit() single rows into a bounded MPSC queue; one dispatcher
-/// thread coalesces them into batches under a max-batch/max-wait deadline
-/// policy and scores each batch through FrozenModel::ScoreExamples (whose
-/// large GEMMs fan out across core::ThreadPool). Each Submit returns a
-/// future fulfilled when its batch completes.
+/// thread scores them through FrozenModel::ScoreExamples (whose large GEMMs
+/// fan out across core::ThreadPool). Dispatch is work-conserving: whenever
+/// the dispatcher is free and rows are queued, it takes up to max_batch of
+/// them at once — no timer holds a queued row back. Rows that arrive while
+/// a batch scores form the next batch, so batches grow with load. Each
+/// Submit returns a future fulfilled when its batch completes.
 ///
 /// Determinism: per-row forward kernels are batch-composition-independent
 /// (see FrozenModel), so a request's Score does not depend on which requests
@@ -109,11 +120,13 @@ class ModelSource {
 /// the dispatcher. Shutdown is idempotent and safe to race from several
 /// threads: every caller returns only after the drain + join completed.
 /// Submitting after Shutdown resolves the future immediately with
-/// ServeStatus::kRejectedShutdown — it never aborts.
+/// ServeStatus::kRejectedShutdown — it never aborts. A row that does not
+/// fit the schema (field counts, id ranges) resolves immediately with
+/// kRejectedInvalid.
 ///
-/// Observability: queue depth, batch size, and request latency histograms
-/// plus request/batch/rejection counters, recorded through dcmt::obs under
-/// dcmt_serve_* names.
+/// Observability: queue depth, batch size, queue wait and request latency
+/// histograms plus request/batch/rejection counters, recorded through
+/// dcmt::obs under dcmt_serve_* names.
 class Engine {
  public:
   /// `model` is non-owning and must outlive the engine (fixed, no swap).
@@ -131,15 +144,10 @@ class Engine {
   /// or immediately with kRejectedShutdown when the engine is stopping.
   std::future<Score> Submit(data::Example example);
 
-  /// Non-blocking Submit with an optional absolute deadline (obs::NowNanos
-  /// clock; 0 = none). A full queue rejects immediately with
+  /// Non-blocking Submit: a full queue rejects immediately with
   /// kRejectedOverload instead of exerting backpressure — the router tier's
-  /// load-shedding primitive. A request deadline tightens its batch's flush
-  /// time: the batch flushes at min(first-enqueue + max_wait, earliest
-  /// member deadline), which is how the router propagates request budgets
-  /// into the micro-batcher.
-  std::future<Score> TrySubmit(data::Example example,
-                               std::int64_t deadline_ns = 0);
+  /// load-shedding primitive.
+  std::future<Score> TrySubmit(data::Example example);
 
   /// Submit + wait, for callers without their own pipelining.
   Score ScoreSync(data::Example example);
@@ -160,7 +168,6 @@ class Engine {
     data::Example example;
     std::promise<Score> promise;
     std::int64_t enqueue_ns = 0;
-    std::int64_t deadline_ns = 0;  // absolute; 0 = no per-request deadline
   };
 
   /// Adapts a fixed FrozenModel* to the ModelSource seam.
@@ -172,12 +179,21 @@ class Engine {
       return model_;
     }
     void Release(std::uint64_t) override {}
+    const data::FeatureSchema& schema() const override {
+      return model_->schema();
+    }
 
    private:
     const FrozenModel* model_;
   };
 
   void Start();
+  /// Submit and TrySubmit: admission check, then enqueue — waiting for
+  /// queue space when `block`, shedding with kRejectedOverload otherwise.
+  std::future<Score> Enqueue(data::Example example, bool block);
+  /// The one admission check: field counts and every id's range against
+  /// the source's schema.
+  bool FitsSchema(const data::Example& example) const;
   void DispatchLoop();
   void ScoreAndFulfill(std::vector<Request>* batch);
   std::future<Score> RejectedFuture(ServeStatus status);
@@ -190,6 +206,8 @@ class Engine {
   std::condition_variable queue_ready_;  // producers -> dispatcher
   std::condition_variable queue_space_;  // dispatcher -> blocked producers
   std::deque<Request> queue_;
+  std::vector<int> deep_vocab_;  // admission bounds, from source_->schema()
+  std::vector<int> wide_vocab_;
   bool stopping_ = false;
   EngineStats stats_;
   std::mutex join_mu_;  // serializes the dispatcher join across Shutdowns
@@ -200,6 +218,7 @@ class Engine {
   obs::Counter obs_rejected_;
   obs::Histogram obs_queue_depth_;
   obs::Histogram obs_batch_size_;
+  obs::Histogram obs_queue_wait_seconds_;
   obs::Histogram obs_latency_seconds_;
   obs::Sum obs_score_seconds_;
 

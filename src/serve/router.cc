@@ -17,6 +17,7 @@ SwappableModel::SwappableModel(std::unique_ptr<const FrozenModel> initial) {
     std::fprintf(stderr, "SwappableModel: initial model must be non-null\n");
     std::abort();
   }
+  schema_ = initial->schema();
   slots_[0] = std::move(initial);
 }
 
@@ -49,6 +50,11 @@ std::unique_ptr<const FrozenModel> SwappableModel::Swap(
     std::unique_ptr<const FrozenModel> next) {
   if (next == nullptr) {
     std::fprintf(stderr, "SwappableModel::Swap: next model must be non-null\n");
+    std::abort();
+  }
+  if (next->schema().DeepVocabSizes() != schema_.DeepVocabSizes() ||
+      next->schema().WideVocabSizes() != schema_.WideVocabSizes()) {
+    std::fprintf(stderr, "SwappableModel::Swap: next model's schema differs\n");
     std::abort();
   }
   std::lock_guard<std::mutex> lock(swap_mu_);
@@ -121,8 +127,9 @@ void Router::ResolveEmbeddings(const data::Example& example) {
   // Touch every embedding row the request needs through its owning shard's
   // cache — the stand-in for the gather a remote parameter store would
   // serve. Scoring reads the replicated model directly, so a failed resolve
-  // (a variant without shared embedding tables, or a table index past the
-  // source's count) costs one rejected source probe and nothing else.
+  // (a variant without shared embedding tables, a table index past the
+  // source's count, or an id outside its table — a row the engine then
+  // rejects as invalid) costs one rejected source probe and nothing else.
   std::vector<float> row;
   bool hit = false;
   const int deep = static_cast<int>(example.deep_ids.size());
@@ -143,18 +150,11 @@ void Router::ResolveEmbeddings(const data::Example& example) {
 }
 
 std::future<Score> Router::Submit(const data::Example& example) {
-  return Submit(example, config_.default_deadline_micros);
-}
-
-std::future<Score> Router::Submit(const data::Example& example,
-                                  std::int64_t deadline_micros) {
   obs_requests_.Inc();
   ResolveEmbeddings(example);
-  const std::int64_t deadline_ns =
-      deadline_micros > 0 ? obs::NowNanos() + deadline_micros * 1000 : 0;
   Engine& engine = *engines_[static_cast<std::size_t>(
       EngineFor(example.user_index))];
-  return engine.TrySubmit(example, deadline_ns);
+  return engine.TrySubmit(example);
 }
 
 Score Router::ScoreSync(const data::Example& example) {
@@ -192,6 +192,7 @@ RouterStats Router::stats() const {
     stats.scored += es.scored;
     stats.rejected_overload += es.rejected_overload;
     stats.rejected_shutdown += es.rejected_shutdown;
+    stats.rejected_invalid += es.rejected_invalid;
     stats.per_engine.push_back(es);
   }
   stats.swaps = model_.swaps();

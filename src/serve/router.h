@@ -14,11 +14,9 @@
 // remote parameter-store fetch a production tier performs; scoring itself
 // uses the replicated in-process model, so scores stay bit-exact).
 //
-//   * Deadline propagation: every routed request carries an absolute
-//     deadline (config.default_deadline_micros unless the caller passes its
-//     own budget), which the engine's micro-batcher folds into its flush
-//     policy — a batch flushes at min(first-enqueue + max_wait, earliest
-//     member deadline).
+//   * Admission: each engine checks a request's field counts and id ranges
+//     against the schema before queueing it; a malformed request resolves
+//     at once with ServeStatus::kRejectedInvalid and never reaches scoring.
 //   * Overload policy: bounded queue + reject-with-status. The router never
 //     blocks a caller; a full engine queue resolves the future immediately
 //     with ServeStatus::kRejectedOverload (counted in dcmt::obs), keeping
@@ -84,6 +82,9 @@ class SwappableModel : public ModelSource {
 
   const FrozenModel* Acquire(std::uint64_t* ticket) override;
   void Release(std::uint64_t ticket) override;
+  /// The initial version's schema; Swap requires every later version to
+  /// share its field vocabularies, so admission checks stay valid.
+  const data::FeatureSchema& schema() const override { return schema_; }
 
   /// Publishes `next` and retires the current version. Serialized across
   /// callers; blocks until every in-flight pin of the retired version is
@@ -102,6 +103,7 @@ class SwappableModel : public ModelSource {
   std::int64_t swaps() const;
 
  private:
+  data::FeatureSchema schema_;
   std::array<std::unique_ptr<const FrozenModel>, 2> slots_;
   std::atomic<int> active_{0};
   std::array<std::atomic<std::int64_t>, 2> inflight_{};
@@ -116,9 +118,6 @@ struct RouterConfig {
   int num_engines = 2;
   /// Per-engine micro-batcher policy.
   EngineConfig engine;
-  /// Request budget applied when Submit is called without a deadline;
-  /// <= 0 disables deadline propagation.
-  std::int64_t default_deadline_micros = 5000;
   /// Per-shard LRU capacity of the embedding row cache.
   int cache_rows_per_shard = 4096;
   /// Virtual nodes per shard on both hash rings.
@@ -131,6 +130,7 @@ struct RouterStats {
   std::int64_t scored = 0;
   std::int64_t rejected_overload = 0;
   std::int64_t rejected_shutdown = 0;
+  std::int64_t rejected_invalid = 0;
   std::int64_t swaps = 0;
   ShardCacheStats cache;
   std::vector<EngineStats> per_engine;
@@ -148,13 +148,10 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Routes one request: resolves its embedding rows through the owning
-  /// shard caches, then enqueues into the user's engine with the given
-  /// budget (config.default_deadline_micros when omitted). Never blocks:
-  /// overload or shutdown resolve the future immediately with the
-  /// corresponding rejection status.
+  /// shard caches, then enqueues into the user's engine. Never blocks: a
+  /// malformed row, overload or shutdown resolve the future immediately
+  /// with the corresponding rejection status.
   std::future<Score> Submit(const data::Example& example);
-  std::future<Score> Submit(const data::Example& example,
-                            std::int64_t deadline_micros);
 
   /// Submit + wait.
   Score ScoreSync(const data::Example& example);

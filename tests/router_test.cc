@@ -2,9 +2,9 @@
 // ring determinism/coverage/minimal-remap, the per-shard embedding LRU cache
 // (eviction, SetSource invalidation, coherence against the live FrozenModel),
 // router score parity with direct FrozenModel scoring at one and several
-// threads, deadline propagation into the micro-batcher, deterministic
-// overload shedding, rejection after shutdown, and the zero-drop hot model
-// swap (every response bit-exact against exactly one of the two versions).
+// threads, bounded-queue overload shedding, admission of malformed rows,
+// rejection after shutdown, and the zero-drop hot model swap (every
+// response bit-exact against exactly one of the two versions).
 
 // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
 #include <atomic>
@@ -352,50 +352,75 @@ TEST_F(RouterTest, ScoresMatchDirectModelAtOneAndManyThreads) {
   }
 }
 
-TEST_F(RouterTest, DeadlinePropagationFlushesBeforeMaxWait) {
-  std::unique_ptr<serve::FrozenModel> frozen = LoadA();
-  ASSERT_NE(frozen, nullptr);
-  serve::RouterConfig config;
-  config.num_engines = 1;
-  config.engine.max_batch = 1024;
-  config.engine.max_wait_micros = 30000000;  // 30s: only a deadline flushes
-  config.default_deadline_micros = 20000;    // 20ms request budget
-  serve::Router router(std::move(frozen), config);
-  const auto start = std::chrono::steady_clock::now();
-  const serve::Score got = router.ScoreSync(rows_.front());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(got.status, serve::ServeStatus::kOk);
-  // Way below max_wait (generous bound for slow CI); the request's own
-  // deadline is what flushed the batch.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            10);
-  EXPECT_EQ(router.stats().per_engine[0].flushed_deadline, 1);
-}
-
 TEST_F(RouterTest, OverloadShedsInsteadOfQueueingUnboundedly) {
+  // The router cannot hold its engines' dispatchers, so whether a given
+  // row of this burst is shed depends on timing (the deterministic shed is
+  // ServeTest.TrySubmitShedsLoadWhenQueueIsFull). What must hold for every
+  // interleaving: no queue grows past capacity, every future resolves as
+  // scored or shed, and the fleet counters add up across engines.
   std::unique_ptr<serve::FrozenModel> frozen = LoadA();
   ASSERT_NE(frozen, nullptr);
   serve::RouterConfig config;
-  config.num_engines = 1;
-  config.engine.max_batch = 64;
-  config.engine.max_wait_micros = 30000000;  // park the dispatcher
-  config.engine.queue_capacity = 4;
-  config.default_deadline_micros = 0;  // no deadline: the queue just fills
+  config.num_engines = 2;
+  config.engine.max_batch = 1;
+  config.engine.queue_capacity = 2;
   serve::Router router(std::move(frozen), config);
+  const int kBurst = 512;
   // dcmt-lint: allow(concurrency) — future tokens carry the scores.
-  std::vector<std::future<serve::Score>> accepted;
-  for (int i = 0; i < 4; ++i) accepted.push_back(router.Submit(rows_.front()));
-  // Queue is at capacity and the dispatcher is parked on its 30s deadline:
-  // the 5th submit must be shed, deterministically and immediately.
-  serve::Score shed = router.Submit(rows_.front()).get();
-  EXPECT_EQ(shed.status, serve::ServeStatus::kRejectedOverload);
-  router.Shutdown();  // drains the 4 accepted requests
-  for (auto& f : accepted) {
-    EXPECT_EQ(f.get().status, serve::ServeStatus::kOk);
+  std::vector<std::future<serve::Score>> outcomes;
+  outcomes.reserve(kBurst);
+  for (int i = 0; i < kBurst; ++i) {
+    outcomes.push_back(
+        router.Submit(rows_[static_cast<std::size_t>(i) % rows_.size()]));
+  }
+  router.Shutdown();  // drains whatever was accepted
+  std::int64_t ok = 0;
+  std::int64_t shed = 0;
+  for (auto& f : outcomes) {
+    const serve::ServeStatus status = f.get().status;
+    if (status == serve::ServeStatus::kOk) {
+      ++ok;
+    } else {
+      EXPECT_EQ(status, serve::ServeStatus::kRejectedOverload);
+      ++shed;
+    }
   }
   const serve::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.scored, 4);
-  EXPECT_EQ(stats.rejected_overload, 1);
+  EXPECT_EQ(ok + shed, kBurst);
+  EXPECT_EQ(stats.scored, ok);
+  EXPECT_EQ(stats.routed, ok);
+  EXPECT_EQ(stats.rejected_overload, shed);
+  std::int64_t per_engine_shed = 0;
+  for (const serve::EngineStats& es : stats.per_engine) {
+    per_engine_shed += es.rejected_overload;
+    EXPECT_LE(es.max_queue_depth, config.engine.queue_capacity);
+  }
+  EXPECT_EQ(per_engine_shed, stats.rejected_overload);
+}
+
+TEST_F(RouterTest, MalformedRequestIsRejectedAndTheFleetKeepsServing) {
+  std::unique_ptr<serve::FrozenModel> frozen = LoadA();
+  ASSERT_NE(frozen, nullptr);
+  const std::vector<float> want = Expected(*frozen);
+  serve::Router router(std::move(frozen), {});
+  data::Example bad = rows_.front();
+  bad.deep_ids.front() = 1 << 30;  // far outside every vocabulary
+  // Before admission checks this aborted the process inside the scoring
+  // kernels, losing every in-flight request.
+  EXPECT_EQ(router.ScoreSync(bad).status,
+            serve::ServeStatus::kRejectedInvalid);
+  bad = rows_.front();
+  bad.wide_ids.clear();
+  EXPECT_EQ(router.ScoreSync(bad).status,
+            serve::ServeStatus::kRejectedInvalid);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const serve::Score got = router.ScoreSync(rows_[i]);
+    ASSERT_TRUE(got.ok()) << "row " << i;
+    EXPECT_EQ(got.pctcvr, want[i]) << "row " << i;
+  }
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.rejected_invalid, 2);
+  EXPECT_EQ(stats.scored, static_cast<std::int64_t>(rows_.size()));
 }
 
 TEST_F(RouterTest, SubmitAfterShutdownRejectsWithStatus) {
@@ -449,6 +474,17 @@ TEST_F(RouterTest, SwapBlocksUntilPinnedReaderReleases) {
   EXPECT_EQ(swappable.swaps(), 1);
 }
 
+TEST_F(RouterTest, SwapRefusesAModelWithOtherFieldVocabularies) {
+  // Admission checks ids against the schema the source reports; a version
+  // with other vocabularies would let admitted rows index past its tables.
+  data::FeatureSchema smaller = train_.schema();
+  smaller.deep_fields[0].vocab_size /= 2;
+  serve::SwappableModel swappable(LoadA());
+  auto other = std::make_unique<serve::FrozenModel>(
+      core::CreateModel("dcmt", smaller, TinyConfig()), smaller);
+  EXPECT_DEATH(swappable.Swap(std::move(other)), "schema differs");
+}
+
 // --- Hot swap under load (satellite: drop-free + bit-exact). ----------------
 
 TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
@@ -470,7 +506,6 @@ TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
     serve::RouterConfig config;
     config.num_engines = 2;
     config.engine.max_batch = 5;
-    config.engine.max_wait_micros = 200;
     serve::Router router(std::move(frozen), config);
 
     const int kSubmitters = 3;
@@ -483,15 +518,23 @@ TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
     std::atomic<std::int64_t> on_a{0};
     // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
     std::atomic<std::int64_t> on_b{0};
+    // dcmt-lint: allow(concurrency) — cross-thread progress counter.
+    std::atomic<std::int64_t> answered{0};
+    // dcmt-lint: allow(concurrency) — set once Swap has returned.
+    std::atomic<bool> swapped{false};
     // dcmt-lint: allow(concurrency) — sustained client load racing Swap.
     std::vector<std::thread> submitters;
     submitters.reserve(kSubmitters);
     for (int t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&, t] {
-        for (int i = 0; i < kPerThread; ++i) {
+        // The load stays on until this thread has sent kPerThread rows
+        // after Swap returned, so every thread's traffic straddles it.
+        int after_swap = 0;
+        for (int i = 0; after_swap < kPerThread; ++i) {
+          if (swapped.load()) ++after_swap;
           const std::size_t row =
               static_cast<std::size_t>(t * kPerThread + i) % rows_.size();
-          const serve::Score got = router.Submit(rows_[row], 0).get();
+          const serve::Score got = router.Submit(rows_[row]).get();
           if (got.status != serve::ServeStatus::kOk) {
             not_ok.fetch_add(1);
           } else if (got.pctcvr == want_a[row]) {
@@ -501,13 +544,18 @@ TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
           } else {
             mismatched.fetch_add(1);
           }
+          answered.fetch_add(1);
         }
       });
     }
-    // Swap A -> B in the middle of the torrent.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Swap A -> B in the middle of the torrent: after kPerThread answers
+    // per thread on A, while the submitters keep sending.
+    while (answered.load() < kSubmitters * kPerThread) {
+      std::this_thread::yield();
+    }
     std::unique_ptr<const serve::FrozenModel> retired =
         router.Swap(LoadB());
+    swapped.store(true);
     ASSERT_NE(retired, nullptr);
     retired.reset();  // safe: every pinned batch on A has been fulfilled
     // dcmt-lint: allow(concurrency) — joining the submitter fleet.
@@ -515,14 +563,16 @@ TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
     router.Shutdown();
 
     // Zero drops, zero torn scores: every response came off exactly one
-    // version's weights.
+    // version's weights. Rows answered before Swap began were scored on A;
+    // rows sent after it returned are scored on B.
     EXPECT_EQ(not_ok.load(), 0);
     EXPECT_EQ(mismatched.load(), 0);
-    EXPECT_EQ(on_a.load() + on_b.load(), kSubmitters * kPerThread);
-    EXPECT_GT(on_b.load(), 0);  // the swap landed mid-stream
+    EXPECT_EQ(on_a.load() + on_b.load(), answered.load());
+    EXPECT_GE(on_a.load(), kSubmitters * kPerThread);
+    EXPECT_GE(on_b.load(), kSubmitters * kPerThread);
     const serve::RouterStats stats = router.stats();
     EXPECT_EQ(stats.swaps, 1);
-    EXPECT_EQ(stats.scored, kSubmitters * kPerThread);
+    EXPECT_EQ(stats.scored, answered.load());
     // The swap invalidated the embedding caches.
     EXPECT_GT(stats.cache.invalidations, 0);
   }

@@ -1,7 +1,8 @@
 // Tests for the tape-free serving stack (DESIGN.md §13): train/serve parity
 // through a checkpoint round-trip for every zoo variant (bit-exact at one
-// and at several threads), the micro-batching engine's coalescing/flush/
-// drain behaviour, the inference arena, and FrozenModel::Load validation.
+// and at several threads), the micro-batching engine's work-conserving
+// dispatch, drain and admission behaviour, the inference arena, and
+// FrozenModel::Load validation.
 
 // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
 #include <atomic>
@@ -26,6 +27,7 @@
 #include "data/batcher.h"
 #include "data/generator.h"
 #include "data/profiles.h"
+#include "gated_model_source.h"
 #include "nn/serialize.h"
 #include "optim/adam.h"
 #include "serve/engine.h"
@@ -278,42 +280,125 @@ TEST_F(ServeTest, EngineSingleRequestMatchesDirectScoring) {
   EXPECT_EQ(got.pctcvr, want.pctcvr[0]);
 }
 
-TEST_F(ServeTest, EngineDeadlineFlushesPartialBatches) {
+// --- Work-conserving dispatch. ----------------------------------------------
+// A GatedModelSource holds the dispatcher at Acquire, which it reaches only
+// after taking a batch off the queue: that is where these tests observe
+// which rows a batch took, with no timer or sleep involved.
+
+TEST_F(ServeTest, SingleQueuedRowIsTakenAtOnce) {
   const serve::FrozenModel frozen = Frozen();
-  serve::EngineConfig config;
-  config.max_batch = 1024;  // never reachable: every flush is deadline-driven
-  config.max_wait_micros = 500;
-  serve::Engine engine(&frozen, config);
-  for (int i = 0; i < 3; ++i) {
-    const serve::Score score = engine.ScoreSync(train_.examples()[0]);
-    EXPECT_GT(score.pctcvr, 0.0f);
-  }
+  testing_util::GatedModelSource gate(&frozen);
+  serve::Engine engine(&gate);  // max_batch 256: one row is a partial batch
+  // dcmt-lint: allow(concurrency) — the future carries the score.
+  std::future<serve::Score> future = engine.Submit(train_.examples()[0]);
+  // The dispatcher took the lone row and reached the model without waiting
+  // for company; nothing else is queued or submitted.
+  gate.WaitForAcquires(1);
+  gate.Open();
+  EXPECT_TRUE(future.get().ok());
   const serve::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scored, 3);
-  EXPECT_GE(stats.flushed_deadline, 1);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.max_batch_scored, 1);
+  EXPECT_EQ(stats.flushed_deadline, 1);  // counted as a partial batch
   EXPECT_EQ(stats.flushed_full, 0);
+  EXPECT_EQ(stats.flushed_drain, 0);
+}
+
+TEST_F(ServeTest, RowsArrivingDuringScoringFormTheNextBatch) {
+  const serve::FrozenModel frozen = Frozen();
+  const std::vector<data::Example> rows(train_.examples().begin(),
+                                        train_.examples().begin() + 6);
+  const serve::ScoreColumns want = frozen.ScoreExamples(rows);
+  testing_util::GatedModelSource gate(&frozen);
+  serve::Engine engine(&gate);
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::vector<std::future<serve::Score>> futures;
+  futures.push_back(engine.Submit(rows[0]));
+  gate.WaitForAcquires(1);  // batch 1 = {row 0}, held at the gate
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    futures.push_back(engine.Submit(rows[i]));
+  }
+  gate.Open();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const serve::Score got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << "row " << i;
+    EXPECT_EQ(got.pctr, want.pctr[i]) << "row " << i;
+    EXPECT_EQ(got.pcvr, want.pcvr[i]) << "row " << i;
+    EXPECT_EQ(got.pctcvr, want.pctcvr[i]) << "row " << i;
+  }
+  // The five rows queued behind the held batch came out together.
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.max_batch_scored, 5);
+  EXPECT_EQ(stats.flushed_deadline, 2);
+}
+
+TEST_F(ServeTest, BacklogSplitsIntoFullBatchesThenARemainder) {
+  const serve::FrozenModel frozen = Frozen();
+  testing_util::GatedModelSource gate(&frozen);
+  serve::EngineConfig config;
+  config.max_batch = 4;
+  serve::Engine engine(&gate, config);
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::vector<std::future<serve::Score>> futures;
+  futures.push_back(engine.Submit(train_.examples()[0]));
+  gate.WaitForAcquires(1);
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(engine.Submit(train_.examples()[0]));
+  }
+  gate.Open();
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  // Under load batches grow to max_batch: {1} held, then 4 + 4 + 2.
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.max_batch_scored, 4);
+  EXPECT_EQ(stats.flushed_full, 2);
+  EXPECT_EQ(stats.flushed_deadline, 2);
+  EXPECT_EQ(stats.flushed_drain, 0);
 }
 
 TEST_F(ServeTest, EngineShutdownDrainsQueuedRequestsWithoutDrops) {
   const serve::FrozenModel frozen = Frozen();
+  testing_util::GatedModelSource gate(&frozen);
   serve::EngineConfig config;
   config.max_batch = 8;
-  config.max_wait_micros = 1000000;  // 1s: shutdown must beat the deadline
-  serve::Engine engine(&frozen, config);
+  config.queue_capacity = 19;
+  serve::Engine engine(&gate, config);
   // dcmt-lint: allow(concurrency) — Submit's future tokens carry the scores.
   std::vector<std::future<serve::Score>> futures;
   futures.reserve(20);
-  for (int i = 0; i < 20; ++i) {
+  futures.push_back(engine.Submit(train_.examples()[0]));
+  gate.WaitForAcquires(1);  // the dispatcher holds batch 1
+  for (int i = 0; i < 19; ++i) {
     futures.push_back(engine.Submit(train_.examples()[0]));
   }
-  engine.Shutdown();  // drains the queue; idempotent
-  engine.Shutdown();
+  // Shutdown blocks joining the held dispatcher; once it has marked the
+  // engine stopping, a probe against the full queue is rejected as
+  // shutdown instead of overload. Only then is the gate opened, so the 19
+  // queued rows drain after Shutdown began.
+  // dcmt-lint: allow(concurrency) — Shutdown must run while the gate holds.
+  std::thread stopper([&engine] {
+    engine.Shutdown();
+    engine.Shutdown();  // idempotent
+  });
+  serve::ServeStatus probe = serve::ServeStatus::kRejectedOverload;
+  while (probe == serve::ServeStatus::kRejectedOverload) {
+    probe = engine.TrySubmit(train_.examples()[0]).get().status;
+  }
+  EXPECT_EQ(probe, serve::ServeStatus::kRejectedShutdown);
+  gate.Open();
+  stopper.join();
   for (auto& f : futures) {
-    EXPECT_TRUE(std::isfinite(f.get().pctcvr));
+    EXPECT_TRUE(f.get().ok());
   }
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 20);
   EXPECT_EQ(stats.scored, 20);
+  // {1} held, then 8 + 8 full and the last 3 as a drain batch.
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.flushed_full, 2);
+  EXPECT_EQ(stats.flushed_drain, 1);
+  EXPECT_EQ(stats.flushed_deadline, 1);
 }
 
 TEST_F(ServeTest, EngineStatsTrackBatchesAndWatermarks) {
@@ -395,43 +480,16 @@ TEST_F(ServeTest, ConcurrentSubmittersRacingShutdownAllResolve) {
   EXPECT_EQ(stats.rejected_shutdown, rejected.load());
 }
 
-// --- Micro-batch deadline clock (bugfix sweep). -----------------------------
-
-TEST_F(ServeTest, DeadlineAnchorsAtFirstEnqueueOfBatch) {
-  const serve::FrozenModel frozen = Frozen();
-  serve::EngineConfig config;
-  config.max_batch = 1024;
-  config.max_wait_micros = 250000;  // 250ms
-  serve::Engine engine(&frozen, config);
-  // First request establishes a flush; by the time the second arrives the
-  // dispatcher is idle again. A buggy clock anchored at the previous flush
-  // would consider the second batch's deadline already expired and flush it
-  // instantly; the fixed clock waits the full max_wait from the second
-  // request's own enqueue.
-  engine.ScoreSync(train_.examples()[0]);
-  const auto start = std::chrono::steady_clock::now();
-  engine.ScoreSync(train_.examples()[0]);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(waited)
-                .count(),
-            150);  // comfortably above zero, below 250ms + scoring slack
-  const serve::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.flushed_deadline, 2);
-  EXPECT_EQ(stats.flushed_full, 0);
-}
-
 TEST_F(ServeTest, FullAndExpiredFlushCountsExactlyOnce) {
   const serve::FrozenModel frozen = Frozen();
   serve::EngineConfig config;
-  config.max_batch = 1;       // every enqueue fills the batch...
-  config.max_wait_micros = 0;  // ...and its deadline is already expired
+  config.max_batch = 1;  // every row fills its batch
   serve::Engine engine(&frozen, config);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(engine.ScoreSync(train_.examples()[0]).ok());
   }
   engine.Shutdown();
-  // A flush that is simultaneously full and past its deadline is one flush:
-  // classified as full, never double-counted.
+  // A full batch is one batch, counted as full and nothing else.
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.batches, 5);
   EXPECT_EQ(stats.flushed_full, 5);
@@ -443,40 +501,131 @@ TEST_F(ServeTest, FullAndExpiredFlushCountsExactlyOnce) {
 
 TEST_F(ServeTest, TrySubmitShedsLoadWhenQueueIsFull) {
   const serve::FrozenModel frozen = Frozen();
+  testing_util::GatedModelSource gate(&frozen);
   serve::EngineConfig config;
   config.max_batch = 64;
-  config.max_wait_micros = 30000000;  // park the dispatcher on its deadline
   config.queue_capacity = 3;
-  serve::Engine engine(&frozen, config);
+  serve::Engine engine(&gate, config);
   // dcmt-lint: allow(concurrency) — future tokens carry the scores.
   std::vector<std::future<serve::Score>> accepted;
+  accepted.push_back(engine.TrySubmit(train_.examples()[0]));
+  gate.WaitForAcquires(1);  // the dispatcher holds that row's batch
   for (int i = 0; i < 3; ++i) {
     accepted.push_back(engine.TrySubmit(train_.examples()[0]));
   }
   const serve::Score shed = engine.TrySubmit(train_.examples()[0]).get();
   EXPECT_EQ(shed.status, serve::ServeStatus::kRejectedOverload);
-  engine.Shutdown();  // drains the accepted three
+  gate.Open();
+  engine.Shutdown();
   for (auto& f : accepted) EXPECT_TRUE(f.get().ok());
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.rejected_overload, 1);
-  EXPECT_EQ(stats.scored, 3);
+  EXPECT_EQ(stats.scored, 4);
+  EXPECT_EQ(stats.max_queue_depth, 3);
 }
 
-TEST_F(ServeTest, PerRequestDeadlineTightensTheBatchFlush) {
+// --- Admission: a malformed row is rejected, never scored. -----------------
+
+class ServeAdmissionTest : public ServeTest {
+ protected:
+  /// Submits `bad` through both entry points, expects kRejectedInvalid from
+  /// each, then checks the engine still scores a valid row exactly.
+  void ExpectRejected(const data::Example& bad) {
+    const serve::FrozenModel frozen = Frozen();
+    serve::Engine engine(&frozen);
+    const serve::Score via_submit = engine.Submit(bad).get();
+    EXPECT_EQ(via_submit.status, serve::ServeStatus::kRejectedInvalid);
+    EXPECT_EQ(via_submit.pctcvr, 0.0f);
+    EXPECT_EQ(engine.TrySubmit(bad).get().status,
+              serve::ServeStatus::kRejectedInvalid);
+    const data::Example& good = train_.examples()[0];
+    const serve::Score scored = engine.ScoreSync(good);
+    ASSERT_TRUE(scored.ok());
+    EXPECT_EQ(scored.pctcvr, frozen.ScoreExamples({good}).pctcvr[0]);
+    const serve::EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.rejected_invalid, 2);
+    EXPECT_EQ(stats.submitted, 1);
+    EXPECT_EQ(stats.scored, 1);
+  }
+
+  data::Example Good() const { return train_.examples()[0]; }
+};
+
+TEST_F(ServeAdmissionTest, OutOfVocabularyDeepIdRejected) {
+  data::Example bad = Good();
+  bad.deep_ids.back() = train_.schema().deep_fields.back().vocab_size;
+  ExpectRejected(bad);
+  EXPECT_STREQ(serve::ServeStatusName(serve::ServeStatus::kRejectedInvalid),
+               "rejected_invalid");
+}
+
+TEST_F(ServeAdmissionTest, OutOfVocabularyWideIdRejected) {
+  ASSERT_TRUE(train_.schema().has_wide());
+  data::Example bad = Good();
+  bad.wide_ids.front() = train_.schema().wide_fields.front().vocab_size + 7;
+  ExpectRejected(bad);
+}
+
+TEST_F(ServeAdmissionTest, NegativeIdRejected) {
+  data::Example bad = Good();
+  bad.deep_ids.front() = -1;
+  ExpectRejected(bad);
+}
+
+TEST_F(ServeAdmissionTest, ShortIdListRejected) {
+  data::Example bad = Good();
+  bad.deep_ids.pop_back();
+  ExpectRejected(bad);
+}
+
+TEST_F(ServeAdmissionTest, LongIdListRejected) {
+  data::Example bad = Good();
+  bad.wide_ids.push_back(0);
+  ExpectRejected(bad);
+}
+
+// --- Observability. ----------------------------------------------------------
+
+/// Value of an unlabelled sample line `name value` in a Prometheus render.
+double PrometheusSample(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(text.substr(at + key.size()));
+}
+
+TEST_F(ServeTest, QueueWaitHistogramSpansEnqueueToBatchStart) {
+  obs::Registry::Global().ResetForTesting();
+  obs::SetEnabled(true);
   const serve::FrozenModel frozen = Frozen();
-  serve::EngineConfig config;
-  config.max_batch = 1024;
-  config.max_wait_micros = 30000000;  // 30s: only the deadline can flush
-  serve::Engine engine(&frozen, config);
-  const auto start = std::chrono::steady_clock::now();
-  const serve::Score got =
-      engine.TrySubmit(train_.examples()[0], obs::NowNanos() + 20000000)
-          .get();  // 20ms budget
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_TRUE(got.ok());
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            10);
-  EXPECT_EQ(engine.stats().flushed_deadline, 1);
+  testing_util::GatedModelSource gate(&frozen);
+  serve::Engine engine(&gate);
+  const std::int64_t t_first = obs::NowNanos();
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::vector<std::future<serve::Score>> futures;
+  futures.push_back(engine.Submit(train_.examples()[0]));
+  gate.WaitForAcquires(1);
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(engine.Submit(train_.examples()[0]));
+  }
+  // Hold the gate for a known stretch (a spin on the clock, not a sleep
+  // used as synchronization) so every row's wait has a floor to check.
+  const std::int64_t t_queued = obs::NowNanos();
+  std::int64_t t_release = t_queued;
+  while (t_release - t_queued < 500000) t_release = obs::NowNanos();
+  gate.Open();
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  engine.Shutdown();
+  const std::int64_t t_done = obs::NowNanos();
+  const std::string text = obs::Registry::Global().RenderPrometheus();
+  obs::SetEnabled(false);
+  // One observation per row. Every row was enqueued by t_queued and no
+  // batch started scoring before t_release, so each wait is at least
+  // t_release - t_queued and at most the whole run.
+  EXPECT_EQ(PrometheusSample(text, "dcmt_serve_queue_wait_seconds_count"), 4);
+  const double sum = PrometheusSample(text, "dcmt_serve_queue_wait_seconds_sum");
+  EXPECT_GE(sum, 4.0 * static_cast<double>(t_release - t_queued) * 1e-9);
+  EXPECT_LE(sum, 4.0 * static_cast<double>(t_done - t_first) * 1e-9);
 }
 
 }  // namespace

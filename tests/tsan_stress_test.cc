@@ -41,6 +41,7 @@
 #include "eval/continual.h"
 #include "eval/experiment.h"
 #include "eval/trainer.h"
+#include "gated_model_source.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "serve/router.h"
@@ -452,7 +453,6 @@ TEST(TsanStress, ServeEngineConcurrentSubmitters) {
   ServeStressFixture& fixture = ServeFixture();
   serve::EngineConfig engine_config;
   engine_config.max_batch = 16;
-  engine_config.max_wait_micros = 100;
   engine_config.queue_capacity = 32;  // small: exercises backpressure too
   serve::Engine engine(fixture.frozen.get(), engine_config);
   constexpr int kThreads = 4;
@@ -483,52 +483,139 @@ TEST(TsanStress, ServeEngineConcurrentSubmitters) {
   EXPECT_EQ(in_range.load(), kThreads * kRowsPerThread);
 }
 
-TEST(TsanStress, ServeEngineDeadlineFlushesUnderConcurrency) {
-  // Unreachable max_batch: every flush is driven by the max-wait deadline,
-  // repeatedly racing the dispatcher's timed wait against new arrivals.
-  ScopedParallelConfig config(2, 1);
-  ServeStressFixture& fixture = ServeFixture();
-  serve::EngineConfig engine_config;
-  engine_config.max_batch = 1024;
-  engine_config.max_wait_micros = 200;
-  serve::Engine engine(fixture.frozen.get(), engine_config);
-  for (int i = 0; i < 8; ++i) {
-    const serve::Score score =
-        engine.ScoreSync(fixture.rows[static_cast<std::size_t>(i)]);
-    EXPECT_GT(score.pctcvr, 0.0f);
-  }
-  engine.Shutdown();
-  const serve::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scored, 8);
-  EXPECT_GE(stats.flushed_deadline, 1);
-  EXPECT_EQ(stats.flushed_full, 0);
-}
-
 TEST(TsanStress, ServeEngineShutdownDrainsInflightWithoutDrops) {
   // Shutdown races a full queue: every already-submitted request must still
-  // be scored (drain, never drop), and every future must become ready.
+  // be scored (drain, never drop), and every future must become ready. A
+  // gated model source holds the dispatcher on the first batch so the other
+  // 63 rows are still queued when Shutdown begins.
   ScopedParallelConfig config(2, 1);
   ServeStressFixture& fixture = ServeFixture();
+  testing_util::GatedModelSource gate(fixture.frozen.get());
   serve::EngineConfig engine_config;
   engine_config.max_batch = 8;
-  engine_config.max_wait_micros = 1000000;  // drain must beat the deadline
-  serve::Engine engine(fixture.frozen.get(), engine_config);
+  engine_config.queue_capacity = 63;
+  serve::Engine engine(&gate, engine_config);
   // dcmt-lint: allow(concurrency) — futures carry the drained scores out.
   std::vector<std::future<serve::Score>> futures;
   futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(engine.Submit(fixture.rows[static_cast<std::size_t>(i % 128)]));
+  futures.push_back(engine.Submit(fixture.rows[0]));
+  gate.WaitForAcquires(1);
+  for (int i = 1; i < 64; ++i) {
+    futures.push_back(engine.Submit(fixture.rows[static_cast<std::size_t>(i)]));
   }
-  engine.Shutdown();
+  // dcmt-lint: allow(concurrency) — Shutdown runs while the gate holds.
+  std::thread stopper([&engine] { engine.Shutdown(); });
+  // The queue is full, so a probe is shed as overload until Shutdown has
+  // marked the engine stopping.
+  while (engine.TrySubmit(fixture.rows[0]).get().status ==
+         serve::ServeStatus::kRejectedOverload) {
+    std::this_thread::yield();
+  }
+  gate.Open();
+  stopper.join();
   int fulfilled = 0;
   for (auto& f : futures) {
     const serve::Score score = f.get();
-    if (score.pctcvr > 0.0f) ++fulfilled;
+    if (score.ok() && score.pctcvr > 0.0f) ++fulfilled;
   }
   EXPECT_EQ(fulfilled, 64);
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 64);
   EXPECT_EQ(stats.scored, 64);
+  EXPECT_EQ(stats.rejected_shutdown, 1);
+}
+
+TEST(TsanStress, ServeRouterRejectsMalformedRowsAmongValidOnes) {
+  // Several submitters mix malformed rows (out-of-vocabulary, negative,
+  // short and long id lists) into valid traffic through the router. Each
+  // malformed row resolves kRejectedInvalid at admission; each valid row is
+  // scored bit-exactly; nothing aborts.
+  ScopedParallelConfig config(2, 1);
+  ServeStressFixture& fixture = ServeFixture();
+  const data::FeatureSchema& schema = fixture.generator->Schema();
+  models::ModelConfig model_config;
+  model_config.embedding_dim = 4;
+  model_config.hidden_dims = {8, 4};
+  auto model = std::make_unique<serve::FrozenModel>(
+      std::make_unique<core::Dcmt>(schema, model_config), schema);
+  const serve::ScoreColumns want = model->ScoreExamples(fixture.rows);
+  serve::RouterConfig router_config;
+  router_config.num_engines = 2;
+  router_config.engine.max_batch = 8;
+  serve::Router router(std::move(model), router_config);
+
+  auto malformed = [&](std::size_t row, int kind) {
+    data::Example bad = fixture.rows[row];
+    switch (kind) {
+      case 0:
+        bad.deep_ids[0] = schema.deep_fields[0].vocab_size;
+        break;
+      case 1:
+        bad.deep_ids.back() = -5;
+        break;
+      case 2:
+        bad.deep_ids.pop_back();
+        break;
+      default:
+        bad.wide_ids.push_back(0);
+        break;
+    }
+    return bad;
+  };
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 48;
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> scored_exact{0};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> rejected_invalid{0};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> wrong{0};
+  {
+    // dcmt-lint: allow(concurrency) — submitters mixing bad rows are the test.
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        // dcmt-lint: allow(concurrency) — pipelined futures per submitter.
+        std::vector<std::future<serve::Score>> futures;
+        std::vector<int> expect_row;  // -1 = malformed
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::size_t row =
+              static_cast<std::size_t>((t * kPerThread + i) % 128);
+          if (i % 3 == 2) {
+            futures.push_back(router.Submit(malformed(row, (t + i) % 4)));
+            expect_row.push_back(-1);
+          } else {
+            futures.push_back(router.Submit(fixture.rows[row]));
+            expect_row.push_back(static_cast<int>(row));
+          }
+        }
+        for (std::size_t k = 0; k < futures.size(); ++k) {
+          const serve::Score score = futures[k].get();
+          if (expect_row[k] < 0) {
+            if (score.status == serve::ServeStatus::kRejectedInvalid) {
+              rejected_invalid.fetch_add(1);
+            } else {
+              wrong.fetch_add(1);
+            }
+          } else if (score.ok() &&
+                     score.pctcvr ==
+                         want.pctcvr[static_cast<std::size_t>(expect_row[k])]) {
+            scored_exact.fetch_add(1);
+          } else {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& submitter : submitters) submitter.join();
+  }
+  router.Shutdown();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(rejected_invalid.load(), kThreads * kPerThread / 3);
+  EXPECT_EQ(scored_exact.load(), kThreads * kPerThread * 2 / 3);
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.rejected_invalid, rejected_invalid.load());
+  EXPECT_EQ(stats.scored, scored_exact.load());
 }
 
 // --- Prefetch channel shutdown edges (core/prefetch.h). ---------------------
@@ -575,8 +662,6 @@ TEST(TsanStress, RouterSwapUnderSustainedLoad) {
   serve::RouterConfig router_config;
   router_config.num_engines = 2;
   router_config.engine.max_batch = 8;
-  router_config.engine.max_wait_micros = 100;
-  router_config.default_deadline_micros = 0;  // load, not latency, is the test
   serve::Router router(make_version(1), router_config);
   // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
   std::atomic<int> ok{0};

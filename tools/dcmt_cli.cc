@@ -28,14 +28,14 @@
 //       registered model) on a synthetic batch before any training is spent
 //       on it; also reachable as `dcmt_cli --check-graph`.
 //   dcmt_cli serve-bench [--model=dcmt --ckpt=dcmt.ckpt] [--requests=20000]
-//                        [--max-batch=256 --max-wait-us=200 --threads=N]
+//                        [--max-batch=256 --threads=N]
 //                        [--metrics-out=metrics.prom]
 //       loadgen against the serve::Engine micro-batcher: freezes the model
 //       (from a checkpoint, or fresh-initialized when --ckpt is omitted),
 //       replays a deterministic synthetic request stream, and reports
 //       throughput plus the engine's batching counters.
 //   dcmt_cli router-bench [--model=dcmt --ckpt=dcmt.ckpt] [--engines=2]
-//                         [--requests=2000 --clients=4 --deadline-us=50000]
+//                         [--requests=2000 --clients=4 --max-batch=32]
 //                         [--zipf-s=1.1 --swap=1 --overload=1]
 //                         [--metrics-out=metrics.prom]
 //       closed-loop loadgen against the sharded serve::Router (DESIGN.md
@@ -519,7 +519,6 @@ int ServeBenchCmd(int argc, char** argv) {
                            {"requests", "20000"},
                            {"window", "4096"},
                            {"max-batch", "256"},
-                           {"max-wait-us", "200"},
                            {"queue-capacity", "4096"},
                            {"embedding-dim", "16"},
                            {"lambda1", "1.0"},
@@ -551,7 +550,6 @@ int ServeBenchCmd(int argc, char** argv) {
 
   serve::EngineConfig engine_config;
   engine_config.max_batch = flags.GetInt("max-batch");
-  engine_config.max_wait_micros = flags.GetInt("max-wait-us");
   engine_config.queue_capacity = flags.GetInt("queue-capacity");
   serve::Engine engine(frozen.get(), engine_config);
 
@@ -594,7 +592,7 @@ int ServeBenchCmd(int argc, char** argv) {
                         static_cast<double>(stats.batches)
                   : 0.0,
               static_cast<long long>(stats.max_batch_scored));
-  std::printf("  flushes         full=%lld deadline=%lld drain=%lld\n",
+  std::printf("  batches taken   full=%lld partial=%lld drain=%lld\n",
               static_cast<long long>(stats.flushed_full),
               static_cast<long long>(stats.flushed_deadline),
               static_cast<long long>(stats.flushed_drain));
@@ -618,9 +616,7 @@ int RouterBenchCmd(int argc, char** argv) {
                            {"requests", "2000"},
                            {"clients", "4"},
                            {"engines", "2"},
-                           {"deadline-us", "50000"},
                            {"max-batch", "32"},
-                           {"max-wait-us", "200"},
                            {"queue-capacity", "4096"},
                            {"cache-rows", "4096"},
                            {"zipf-s", "1.1"},
@@ -664,9 +660,7 @@ int RouterBenchCmd(int argc, char** argv) {
   serve::RouterConfig router_config;
   router_config.num_engines = std::max(1, flags.GetInt("engines"));
   router_config.engine.max_batch = flags.GetInt("max-batch");
-  router_config.engine.max_wait_micros = flags.GetInt("max-wait-us");
   router_config.engine.queue_capacity = flags.GetInt("queue-capacity");
-  router_config.default_deadline_micros = flags.GetInt("deadline-us");
   router_config.cache_rows_per_shard = flags.GetInt("cache-rows");
   serve::Router router(std::move(initial), router_config);
 
@@ -785,24 +779,28 @@ int RouterBenchCmd(int argc, char** argv) {
     serve::RouterConfig overload_config = router_config;
     overload_config.num_engines = 1;
     overload_config.engine.queue_capacity = 64;
-    overload_config.engine.max_batch = 1024;
-    // Dispatcher parked on a long flush deadline: the burst hits the
-    // bounded queue head-on, the way >=2x-saturation arrival rates do.
-    overload_config.engine.max_wait_micros = 1000000;
-    overload_config.default_deadline_micros = 0;
+    // One row per batch and a burst 16x the queue: a tight submit loop
+    // enqueues far faster than the dispatcher scores single rows, so the
+    // burst outruns the drain and hits the bounded queue head-on, the way
+    // well-past-saturation arrival rates do.
+    overload_config.engine.max_batch = 1;
     std::unique_ptr<serve::FrozenModel> overload_model = make_version(0);
     if (overload_model == nullptr) return 1;
     serve::Router overload_router(std::move(overload_model), overload_config);
-    const int burst = 2 * overload_config.engine.queue_capacity;
+    const int burst = 16 * overload_config.engine.queue_capacity;
     Rng rng(99);
-    // dcmt-lint: allow(concurrency) — future tokens carry burst outcomes.
-    std::vector<std::future<serve::Score>> outcomes;
-    outcomes.reserve(static_cast<std::size_t>(burst));
+    std::vector<data::Example> burst_rows;
+    burst_rows.reserve(static_cast<std::size_t>(burst));
     for (int i = 0; i < burst; ++i) {
       const int user = static_cast<int>(rng.NextBounded(profile.num_users));
       const int item = static_cast<int>(rng.NextBounded(profile.num_items));
-      outcomes.push_back(
-          overload_router.Submit(generator.MakeExample(user, item, 0)));
+      burst_rows.push_back(generator.MakeExample(user, item, 0));
+    }
+    // dcmt-lint: allow(concurrency) — future tokens carry burst outcomes.
+    std::vector<std::future<serve::Score>> outcomes;
+    outcomes.reserve(static_cast<std::size_t>(burst));
+    for (const data::Example& row : burst_rows) {
+      outcomes.push_back(overload_router.Submit(row));
     }
     overload_router.Shutdown();  // drains whatever was accepted
     std::int64_t shed = 0, served = 0;
