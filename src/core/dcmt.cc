@@ -46,7 +46,7 @@ std::string Dcmt::name() const {
   return "dcmt";
 }
 
-models::Predictions Dcmt::Forward(const data::Batch& batch) {
+models::Predictions Dcmt::ForwardRows(const data::Batch& batch) {
   const Tensor deep = embeddings_->DeepInput(batch);
   const Tensor wide =
       embeddings_->has_wide() ? embeddings_->WideInput(batch) : Tensor();

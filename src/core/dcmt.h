@@ -36,7 +36,6 @@ class Dcmt : public models::MultiTaskModel {
   Dcmt(const data::FeatureSchema& schema, const models::ModelConfig& config,
        Variant variant = Variant::kFull);
 
-  models::Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch,
               const models::Predictions& preds) override;
   std::string name() const override;
@@ -46,6 +45,9 @@ class Dcmt : public models::MultiTaskModel {
   /// The CVR-task part of the loss alone (Eq. 9), exposed for tests of the
   /// unbiasedness theorem (Theorem III.1).
   Tensor CvrTaskLoss(const data::Batch& batch, const models::Predictions& preds);
+
+ protected:
+  models::Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   models::ModelConfig config_;

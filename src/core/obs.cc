@@ -211,9 +211,12 @@ Sum Registry::sum(const std::string& name) {
 
 Histogram Registry::histogram(const std::string& name, int bins, double lo,
                               double hi) {
-  if (bins <= 0 || bins > detail::kMaxHistogramBins || !(hi > lo)) {
-    Fatal("bad histogram geometry", name);
+  if (bins <= 0 || bins > detail::kMaxHistogramBins) {
+    const std::string msg = "bad histogram geometry: bins must be in [1, " +
+                            std::to_string(detail::kMaxHistogramBins) + "]";
+    Fatal(msg.c_str(), name);
   }
+  if (!(hi > lo)) Fatal("bad histogram geometry: hi must exceed lo", name);
   std::lock_guard<std::mutex> lock(impl_->mu);
   const auto [it, inserted] = impl_->kinds.emplace(name, 'h');
   if (!inserted && it->second != 'h') Fatal("name registered as another kind", name);

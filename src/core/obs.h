@@ -244,6 +244,8 @@ class Registry {
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
   Sum sum(const std::string& name);
+  /// Histograms also abort on bad geometry: `bins` must be in
+  /// [1, detail::kMaxHistogramBins] (64) and `hi > lo`.
   Histogram histogram(const std::string& name, int bins, double lo, double hi);
 
   /// Prometheus-style text exposition: `# TYPE` lines plus one sample line

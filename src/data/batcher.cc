@@ -69,6 +69,51 @@ Batch MakeBatch(const std::vector<Example>& examples,
   return builder.Finish();
 }
 
+namespace {
+
+template <typename T>
+std::vector<T> CutRange(const std::vector<T>& v, int begin, int end) {
+  if (v.empty()) return {};
+  return std::vector<T>(v.begin() + begin, v.begin() + end);
+}
+
+Tensor CutRows(const Tensor& t, int begin, int end) {
+  if (!t.defined()) return Tensor();
+  const std::size_t cols = static_cast<std::size_t>(t.cols());
+  const float* d = t.data() + static_cast<std::size_t>(begin) * cols;
+  return Tensor::FromData(
+      end - begin, t.cols(),
+      std::vector<float>(d, d + static_cast<std::size_t>(end - begin) * cols));
+}
+
+}  // namespace
+
+Batch SliceRows(const Batch& batch, int begin, int end) {
+  if (begin < 0 || end > batch.size || begin >= end) {
+    std::fprintf(stderr, "SliceRows: bad row range [%d, %d) of %d\n", begin,
+                 end, batch.size);
+    std::abort();
+  }
+  Batch out;
+  out.deep_ids.reserve(batch.deep_ids.size());
+  for (const auto& ids : batch.deep_ids) {
+    out.deep_ids.push_back(CutRange(ids, begin, end));
+  }
+  out.wide_ids.reserve(batch.wide_ids.size());
+  for (const auto& ids : batch.wide_ids) {
+    out.wide_ids.push_back(CutRange(ids, begin, end));
+  }
+  out.click = CutRows(batch.click, begin, end);
+  out.conversion = CutRows(batch.conversion, begin, end);
+  out.ctcvr = CutRows(batch.ctcvr, begin, end);
+  out.click_raw = CutRange(batch.click_raw, begin, end);
+  out.conversion_raw = CutRange(batch.conversion_raw, begin, end);
+  out.true_ctr = CutRange(batch.true_ctr, begin, end);
+  out.true_cvr = CutRange(batch.true_cvr, begin, end);
+  out.size = end - begin;
+  return out;
+}
+
 Batch MakeContiguousBatch(const Dataset& dataset, std::int64_t first, int count) {
   static thread_local std::vector<std::int64_t> identity;
   const std::int64_t needed = first + count;

@@ -65,6 +65,11 @@ Batch MakeBatch(const std::vector<Example>& examples,
                 const std::vector<std::int64_t>& indices, std::int64_t first,
                 int count, const FeatureSchema& schema);
 
+/// Rows [begin, end) of `batch` as a batch of their own: every id list, raw
+/// label list and label tensor is cut to the range (absent ones stay
+/// absent). How a taped forward hands each micro-batch its rows.
+Batch SliceRows(const Batch& batch, int begin, int end);
+
 /// Assembles one batch from a contiguous range of a dataset (used by
 /// evaluation, which streams a test set in order).
 Batch MakeContiguousBatch(const Dataset& dataset, std::int64_t first, int count);

@@ -8,7 +8,7 @@
 namespace dcmt {
 namespace eval {
 
-models::Predictions OracleRanker::Forward(const data::Batch& batch) {
+models::Predictions OracleRanker::ForwardRows(const data::Batch& batch) {
   if (batch.true_ctr.size() != static_cast<std::size_t>(batch.size)) {
     std::fprintf(stderr, "OracleRanker: batch lacks ground-truth propensities\n");
     std::abort();

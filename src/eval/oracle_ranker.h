@@ -17,13 +17,14 @@ class OracleRanker : public models::MultiTaskModel {
  public:
   OracleRanker() = default;
 
-  models::Predictions Forward(const data::Batch& batch) override;
-
   /// Oracle has nothing to learn; the loss is a constant zero scalar.
   Tensor Loss(const data::Batch& batch,
               const models::Predictions& preds) override;
 
   std::string name() const override { return "oracle"; }
+
+ protected:
+  models::Predictions ForwardRows(const data::Batch& batch) override;
 };
 
 }  // namespace eval

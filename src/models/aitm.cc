@@ -34,7 +34,7 @@ Aitm::Aitm(const data::FeatureSchema& schema, const ModelConfig& config)
   RegisterChild(*cvr_head_);
 }
 
-Predictions Aitm::Forward(const data::Batch& batch) {
+Predictions Aitm::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

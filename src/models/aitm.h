@@ -20,9 +20,11 @@ class Aitm : public MultiTaskModel {
  public:
   Aitm(const data::FeatureSchema& schema, const ModelConfig& config);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override { return "aitm"; }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   ModelConfig config_;

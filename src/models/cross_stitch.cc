@@ -38,7 +38,7 @@ CrossStitch::CrossStitch(const data::FeatureSchema& schema,
   RegisterChild(*cvr_head_);
 }
 
-Predictions CrossStitch::Forward(const data::Batch& batch) {
+Predictions CrossStitch::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

@@ -23,9 +23,11 @@ class CrossStitch : public MultiTaskModel {
  public:
   CrossStitch(const data::FeatureSchema& schema, const ModelConfig& config);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override { return "cross-stitch"; }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   ModelConfig config_;

@@ -25,7 +25,7 @@ Escm2::Escm2(const data::FeatureSchema& schema, const ModelConfig& config,
   }
 }
 
-Predictions Escm2::Forward(const data::Batch& batch) {
+Predictions Escm2::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
@@ -36,7 +36,7 @@ Predictions Escm2::Forward(const data::Batch& batch) {
   preds.ctcvr = ops::Mul(preds.ctr, preds.cvr);
   if (variant_ == Variant::kDr) {
     // Non-negative error imputation ê = softplus(logit).
-    imputed_error_ = ops::Softplus(imputation_tower_->ForwardLogit(x));
+    preds.imputed_error = ops::Softplus(imputation_tower_->ForwardLogit(x));
   }
   return preds;
 }
@@ -53,7 +53,7 @@ Tensor Escm2::Loss(const data::Batch& batch, const Predictions& preds) {
     // Doubly robust (Eq. 6): (1/B) Σ_D [ ê + o·(e − ê)/p̂ ],
     // plus the imputation task (1/B) Σ_O (e − ê)²/p̂.
     const Tensor e = CvrExampleLoss(preds, batch);  // [B x 1]
-    const Tensor delta = ops::Sub(e, imputed_error_);
+    const Tensor delta = ops::Sub(e, preds.imputed_error);
     const float* p = pctr_detached.data();
     std::vector<float> ipw(static_cast<std::size_t>(batch.size), 0.0f);
     const float inv_b = 1.0f / static_cast<float>(batch.size);
@@ -65,7 +65,7 @@ Tensor Escm2::Loss(const data::Batch& batch, const Predictions& preds) {
       }
     }
     const Tensor w = Tensor::ColumnVector(ipw);
-    const Tensor dr = ops::Add(ops::Mean(imputed_error_), ops::WeightedSum(delta, w));
+    const Tensor dr = ops::Add(ops::Mean(preds.imputed_error), ops::WeightedSum(delta, w));
     const Tensor imp = ops::WeightedSum(ops::Square(delta), w);
     cvr_loss = ops::Add(dr, imp);
   }

@@ -29,11 +29,13 @@ class Escm2 : public MultiTaskModel {
   Escm2(const data::FeatureSchema& schema, const ModelConfig& config,
         Variant variant);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override {
     return variant_ == Variant::kIpw ? "escm2-ipw" : "escm2-dr";
   }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   ModelConfig config_;
@@ -42,8 +44,6 @@ class Escm2 : public MultiTaskModel {
   std::unique_ptr<Tower> ctr_tower_;
   std::unique_ptr<Tower> cvr_tower_;
   std::unique_ptr<Tower> imputation_tower_;  // kDr only
-  // Cached per-forward imputation output (kDr): ê over the batch.
-  Tensor imputed_error_;
 };
 
 }  // namespace models

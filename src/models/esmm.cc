@@ -17,7 +17,7 @@ Esmm::Esmm(const data::FeatureSchema& schema, const ModelConfig& config)
   RegisterChild(*cvr_tower_);
 }
 
-Predictions Esmm::Forward(const data::Batch& batch) {
+Predictions Esmm::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

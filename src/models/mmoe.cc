@@ -50,7 +50,7 @@ Tensor Mmoe::MixExperts(const std::vector<Tensor>& expert_outputs,
   return mixed;
 }
 
-Predictions Mmoe::Forward(const data::Batch& batch) {
+Predictions Mmoe::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

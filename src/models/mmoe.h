@@ -19,9 +19,11 @@ class Mmoe : public MultiTaskModel {
  public:
   Mmoe(const data::FeatureSchema& schema, const ModelConfig& config);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override { return "mmoe"; }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   /// Gated mixture of expert outputs for one task.

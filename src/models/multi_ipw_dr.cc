@@ -25,7 +25,7 @@ MultiIpwDr::MultiIpwDr(const data::FeatureSchema& schema,
   }
 }
 
-Predictions MultiIpwDr::Forward(const data::Batch& batch) {
+Predictions MultiIpwDr::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
@@ -35,7 +35,7 @@ Predictions MultiIpwDr::Forward(const data::Batch& batch) {
   preds.cvr = cvr_tower_->ForwardProb(x, &preds.cvr_logit);
   preds.ctcvr = ops::Mul(preds.ctr, preds.cvr);
   if (variant_ == Variant::kDr) {
-    imputed_error_ = ops::Softplus(imputation_tower_->ForwardLogit(x));
+    preds.imputed_error = ops::Softplus(imputation_tower_->ForwardLogit(x));
   }
   return preds;
 }
@@ -49,7 +49,7 @@ Tensor MultiIpwDr::Loss(const data::Batch& batch, const Predictions& preds) {
     cvr_loss = IpwCvrLoss(preds, pctr_detached, batch, config_.propensity_clip);
   } else {
     const Tensor e = CvrExampleLoss(preds, batch);
-    const Tensor delta = ops::Sub(e, imputed_error_);
+    const Tensor delta = ops::Sub(e, preds.imputed_error);
     const float* p = pctr_detached.data();
     std::vector<float> ipw(static_cast<std::size_t>(batch.size), 0.0f);
     const float inv_b = 1.0f / static_cast<float>(batch.size);
@@ -61,7 +61,7 @@ Tensor MultiIpwDr::Loss(const data::Batch& batch, const Predictions& preds) {
       }
     }
     const Tensor w = Tensor::ColumnVector(ipw);
-    const Tensor dr = ops::Add(ops::Mean(imputed_error_), ops::WeightedSum(delta, w));
+    const Tensor dr = ops::Add(ops::Mean(preds.imputed_error), ops::WeightedSum(delta, w));
     const Tensor imp = ops::WeightedSum(ops::Square(delta), w);
     cvr_loss = ops::Add(dr, imp);
   }

@@ -23,11 +23,13 @@ class MultiIpwDr : public MultiTaskModel {
   MultiIpwDr(const data::FeatureSchema& schema, const ModelConfig& config,
              Variant variant);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override {
     return variant_ == Variant::kIpw ? "multi-ipw" : "multi-dr";
   }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   ModelConfig config_;
@@ -36,7 +38,6 @@ class MultiIpwDr : public MultiTaskModel {
   std::unique_ptr<Tower> ctr_tower_;
   std::unique_ptr<Tower> cvr_tower_;
   std::unique_ptr<Tower> imputation_tower_;  // kDr only
-  Tensor imputed_error_;
 };
 
 }  // namespace models

@@ -1,6 +1,7 @@
 #ifndef DCMT_MODELS_MULTI_TASK_MODEL_H_
 #define DCMT_MODELS_MULTI_TASK_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,7 +63,8 @@ struct ModelConfig {
 };
 
 /// Multi-task predictions on one batch. `cvr_counterfactual` is only defined
-/// for the DCMT family (the twin tower's second head).
+/// for the DCMT family (the twin tower's second head), `imputed_error` only
+/// for the doubly robust baselines (ESCM²-DR, Multi-DR).
 ///
 /// The `*_logit` fields are optional pre-sigmoid logits recorded by models
 /// whose heads produce one. When defined, the shared loss helpers (and the
@@ -79,7 +81,25 @@ struct Predictions {
   Tensor ctr_logit;
   Tensor cvr_logit;
   Tensor cvr_cf_logit;
+  /// Doubly robust error imputation ê = softplus(imputation tower) [B x 1],
+  /// read by the DR losses. It travels with the predictions of its own
+  /// batch, so interleaved or concurrent forwards cannot mix batches.
+  Tensor imputed_error;
 };
+
+/// Rows per micro-batch at which a taped forward starts to split
+/// (MultiTaskModel::Forward, DESIGN.md §9).
+inline constexpr int kMicroBatchRows = 256;
+/// Most micro-batches one batch splits into.
+inline constexpr int kMaxMicroBatches = 4;
+
+/// Number of micro-batches K a taped forward over `rows` rows runs as:
+/// min(kMaxMicroBatches, rows / kMicroBatchRows), at least 1. A pure function
+/// of the row count, never of the thread count, so training results depend
+/// on the batch size but not on the number of threads.
+inline int MicroBatchCount(int rows) {
+  return std::clamp(rows / kMicroBatchRows, 1, kMaxMicroBatches);
+}
 
 /// Interface every CTR/CVR/CTCVR multi-task model implements. A model owns
 /// its embeddings and towers; the trainer owns batching and optimization.
@@ -87,8 +107,16 @@ class MultiTaskModel : public nn::Module {
  public:
   ~MultiTaskModel() override = default;
 
-  /// Builds the forward graph for one batch.
-  virtual Predictions Forward(const data::Batch& batch) = 0;
+  /// Builds the forward graph for one batch. A taped forward over B rows
+  /// runs as K = MicroBatchCount(B) contiguous row micro-batches, micro-batch
+  /// k owning rows [k·B/K, (k+1)·B/K): each builds its own tape through
+  /// ForwardRows on its own pool shard, and ops::JoinMicroBatches joins their
+  /// predictions back into full-batch columns, so Loss sees the whole batch.
+  /// Every op of a model body is row-local, so the values are the bits of one
+  /// ForwardRows over the whole batch; only the order of the parameter
+  /// gradient sums changes. With K = 1 or under an InferenceGuard this is
+  /// ForwardRows(batch) itself.
+  Predictions Forward(const data::Batch& batch);
 
   /// Builds the scalar training loss from a batch and its predictions.
   /// (L2 regularization is applied by the optimizer as coupled weight decay,
@@ -97,6 +125,16 @@ class MultiTaskModel : public nn::Module {
 
   /// Registry name ("esmm", "dcmt", ...).
   virtual std::string name() const = 0;
+
+ protected:
+  /// Tests build the one-piece reference tape of a split forward through it.
+  friend class UnsplitForwardForTesting;
+
+  /// The model body: builds the forward graph for `batch` in one piece. Must
+  /// be row-local (row i of every prediction depends on row i of the batch
+  /// alone) and must not write model state, since Forward runs it on several
+  /// micro-batches at once.
+  virtual Predictions ForwardRows(const data::Batch& batch) = 0;
 };
 
 }  // namespace models

@@ -16,7 +16,7 @@ NaiveCvr::NaiveCvr(const data::FeatureSchema& schema, const ModelConfig& config)
   RegisterChild(*cvr_tower_);
 }
 
-Predictions NaiveCvr::Forward(const data::Batch& batch) {
+Predictions NaiveCvr::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

@@ -19,9 +19,11 @@ class NaiveCvr : public MultiTaskModel {
  public:
   NaiveCvr(const data::FeatureSchema& schema, const ModelConfig& config);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override { return "naive"; }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   std::unique_ptr<SharedEmbeddings> embeddings_;

@@ -60,7 +60,7 @@ Tensor Ple::TaskMixture(const Tensor& x,
   return mixed;
 }
 
-Predictions Ple::Forward(const data::Batch& batch) {
+Predictions Ple::ForwardRows(const data::Batch& batch) {
   Tensor x = embeddings_->DeepInput(batch);
   if (embeddings_->has_wide()) {
     x = ops::ConcatCols({x, embeddings_->WideInput(batch)});

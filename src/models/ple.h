@@ -19,9 +19,11 @@ class Ple : public MultiTaskModel {
  public:
   Ple(const data::FeatureSchema& schema, const ModelConfig& config);
 
-  Predictions Forward(const data::Batch& batch) override;
   Tensor Loss(const data::Batch& batch, const Predictions& preds) override;
   std::string name() const override { return "ple"; }
+
+ protected:
+  Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
   Tensor TaskMixture(const Tensor& x,

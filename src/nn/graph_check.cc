@@ -274,20 +274,23 @@ GraphCheckResult CheckGraph(const Tensor& loss,
   }
 
   // Iterative DFS over the tape, mirroring Tensor::Backward()'s traversal.
+  // A micro-batch join's private tapes are walked too: the join's backward
+  // runs them, so their nodes and the parameters they reach are the step's.
   std::unordered_set<const Impl*> visited;
   std::vector<const Impl*> stack{loss.impl()};
   visited.insert(loss.impl());
+  const auto push = [&](const Tensor& t) {
+    Impl* ti = t.impl();
+    if (ti != nullptr && visited.insert(ti).second) stack.push_back(ti);
+  };
 
   while (!stack.empty()) {
     const Impl* node = stack.back();
     stack.pop_back();
     ++result.nodes_visited;
     checker.CheckNode(node);
-    for (const Tensor& parent : node->parents) {
-      Impl* pi = parent.impl();
-      if (pi == nullptr) continue;
-      if (visited.insert(pi).second) stack.push_back(pi);
-    }
+    for (const Tensor& parent : node->parents) push(parent);
+    for (const Tensor& root : node->micro_roots) push(root);
   }
 
   for (const Tensor& p : params) {

@@ -32,7 +32,8 @@ struct GraphCheckResult {
 };
 
 /// Statically validates the autograd tape hanging off `loss` before
-/// Backward() is spent on it. Checks, in order:
+/// Backward() is spent on it, including the private micro-batch tapes of
+/// every ops::JoinMicroBatches node on it. Checks, in order:
 ///
 ///   1. The loss is a defined [1 x 1] scalar that requires grad.
 ///   2. Every node's storage agrees with its declared shape, and every

@@ -542,12 +542,15 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
   out.SetOp("slice_cols");
   const float* ad = a.data();
   float* od = out.data();
+  // A plain loop rather than a std::copy per row: the slices are mostly
+  // one column wide (a micro-batch join's fields), where a memmove call per
+  // row costs several times the copy.
   ParallelFor(0, m, RowGrain(kElementwiseGrain, len),
               [&](std::int64_t r0, std::int64_t r1) {
                 for (std::int64_t r = r0; r < r1; ++r) {
-                  std::copy(ad + static_cast<std::size_t>(r) * n + start,
-                            ad + static_cast<std::size_t>(r) * n + start + len,
-                            od + static_cast<std::size_t>(r) * len);
+                  const float* src = ad + static_cast<std::size_t>(r) * n + start;
+                  float* dst = od + static_cast<std::size_t>(r) * len;
+                  for (int c = 0; c < len; ++c) dst[c] = src[c];
                 }
               });
   if (out.requires_grad()) {
@@ -566,6 +569,76 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
                   });
     });
   }
+  return out;
+}
+
+Tensor JoinMicroBatches(const std::vector<std::vector<Tensor>>& blocks) {
+  if (blocks.empty() || blocks[0].empty()) {
+    Fatal("JoinMicroBatches needs at least one block and one column");
+  }
+  const int micro = static_cast<int>(blocks.size());
+  const int f_cols = static_cast<int>(blocks[0].size());
+  std::vector<int> row0{0};  // micro-batch k owns rows [row0[k], row0[k+1])
+  bool needs_grad = false;
+  for (const std::vector<Tensor>& cols : blocks) {
+    if (static_cast<int>(cols.size()) != f_cols) {
+      Fatal("JoinMicroBatches ragged column lists");
+    }
+    const int rows = cols[0].rows();
+    for (const Tensor& c : cols) {
+      if (!c.defined() || c.cols() != 1 || c.rows() != rows) {
+        Fatal("JoinMicroBatches wants [rows_k x 1] columns per micro-batch");
+      }
+      needs_grad = needs_grad || c.requires_grad();
+    }
+    row0.push_back(row0.back() + rows);
+  }
+  const int m = row0.back();
+  Tensor out = Tensor::MakeNode(m, f_cols, {}, needs_grad);
+  out.SetOp("micro_batch_join");
+  float* od = out.data();
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    float* block = od + static_cast<std::size_t>(row0[k]) * f_cols;
+    for (int f = 0; f < f_cols; ++f) {
+      const Tensor& c = blocks[k][static_cast<std::size_t>(f)];
+      const float* cd = c.data();
+      for (int r = 0; r < c.rows(); ++r) {
+        block[static_cast<std::size_t>(r) * f_cols + f] = cd[r];
+      }
+    }
+  }
+  if (!needs_grad) return out;
+
+  Tensor::Impl* self = out.impl();
+  for (const std::vector<Tensor>& cols : blocks) {
+    self->micro_roots.insert(self->micro_roots.end(), cols.begin(), cols.end());
+  }
+  out.SetBackwardFn([self, micro, f_cols, row0]() {
+    const float* og = self->EnsureGrad();
+    std::vector<GradSink> sinks(static_cast<std::size_t>(micro));
+    ParallelFor(0, micro, 1, [&](std::int64_t k0, std::int64_t k1) {
+      for (std::int64_t k = k0; k < k1; ++k) {
+        const std::size_t kk = static_cast<std::size_t>(k);
+        const float* block = og + static_cast<std::size_t>(row0[kk]) * f_cols;
+        const int rows = row0[kk + 1] - row0[kk];
+        const std::vector<Tensor> roots(
+            self->micro_roots.begin() + k * f_cols,
+            self->micro_roots.begin() + (k + 1) * f_cols);
+        std::vector<std::vector<float>> seeds(
+            static_cast<std::size_t>(f_cols),
+            std::vector<float>(static_cast<std::size_t>(rows)));
+        for (int r = 0; r < rows; ++r) {
+          for (int f = 0; f < f_cols; ++f) {
+            seeds[static_cast<std::size_t>(f)][static_cast<std::size_t>(r)] =
+                block[static_cast<std::size_t>(r) * f_cols + f];
+          }
+        }
+        const GradSink::Scope scope(&sinks[kk]);
+        Tensor::BackwardFrom(roots, seeds);
+      }
+    });
+    GradSink::Reduce(sinks);
+  });
   return out;
 }
 

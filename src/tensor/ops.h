@@ -84,6 +84,18 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Columns [start, start + len) of `a` as a new tensor.
 Tensor SliceCols(const Tensor& a, int start, int len);
 
+/// Micro-batch join (DESIGN.md §9). `blocks[k][f]` is column f of
+/// micro-batch k: a [rows_k x 1] root of that micro-batch's own tape. Returns
+/// the [Σ_k rows_k x F] node J whose column f stacks blocks[0][f],
+/// blocks[1][f], ... in k order. The micro-tapes are held by J privately, not
+/// as parents. J's backward hands micro-batch k its row block of J's
+/// gradient as the seeds of its roots and runs the K backward passes on
+/// min(K, pool width) shards, each taking its micro-batches in ascending k,
+/// with leaf gradients written to one GradSink per micro-batch; it then
+/// reduces the sinks into the leaves in ascending k. The result is the same
+/// bits at any thread count.
+Tensor JoinMicroBatches(const std::vector<std::vector<Tensor>>& blocks);
+
 /// Gathers rows of `table` [V x d] by `ids` -> [ids.size() x d]. Backward
 /// scatter-adds into the table gradient (dense buffer, sparse writes).
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);

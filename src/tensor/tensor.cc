@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 // The live-graph-node count must be exact when serving threads score while a
 // trainer builds tapes, hence one relaxed atomic rather than a pool round.
 // dcmt-lint: allow(concurrency) — single relaxed counter, no locking protocol.
@@ -11,6 +12,7 @@
 #include <unordered_set>
 
 #include "core/obs.h"
+#include "core/thread_pool.h"
 #include "tensor/inference.h"
 
 #if defined(__GLIBC__)
@@ -39,6 +41,14 @@ namespace {
   std::fprintf(stderr, "dcmt tensor fatal: %s\n", msg);
   std::abort();
 }
+
+// The leaf-gradient sink installed on this thread by GradSink::Scope.
+thread_local GradSink* tls_grad_sink = nullptr;
+
+/// Elements per chunk of GradSink::Reduce, over all leaves laid end to end.
+/// An element costs K + 1 loads and K adds, so a chunk of 16384 is ~10 us:
+/// the ~80k parameters of a DCMT step split four ways in one dispatch.
+constexpr std::int64_t kReduceGrain = 16384;
 
 // Count of live Impls holding parent edges — "is any tape alive" for the
 // serving no-leak tests. Relaxed is enough: tests read it only at quiescent
@@ -72,6 +82,73 @@ Tensor::Impl::~Impl() {
     g_live_graph_nodes.fetch_sub(1, std::memory_order_relaxed);
   }
   if (pooled) inference::ReleaseBuffer(std::move(data));
+}
+
+float* Tensor::Impl::EnsureGrad() {
+  if (tls_grad_sink != nullptr && parents.empty() && !backward_fn) {
+    return tls_grad_sink->Buffer(this);
+  }
+  if (grad.empty()) grad.assign(data.size(), 0.0f);
+  return grad.data();
+}
+
+GradSink::Scope::Scope(GradSink* sink) {
+  if (tls_grad_sink != nullptr) Fatal("GradSink scopes do not nest");
+  tls_grad_sink = sink;
+}
+
+GradSink::Scope::~Scope() { tls_grad_sink = nullptr; }
+
+float* GradSink::Buffer(Tensor::Impl* leaf) {
+  for (auto& [impl, buffer] : buffers_) {
+    if (impl == leaf) return buffer.data();
+  }
+  buffers_.emplace_back(leaf, std::vector<float>(leaf->data.size(), 0.0f));
+  return buffers_.back().second.data();
+}
+
+void GradSink::Reduce(const std::vector<GradSink>& sinks) {
+  if (tls_grad_sink != nullptr) Fatal("GradSink::Reduce inside a sink scope");
+  // One segment per leaf, in first-touch order across sinks, laid end to end
+  // so that a single ParallelFor covers every leaf. The layout only decides
+  // which thread sums an element, never the order of its additions.
+  struct Segment {
+    Tensor::Impl* leaf;
+    float* grad;
+    std::vector<const float*> parts;  // sink buffers, in sink order
+  };
+  std::vector<Segment> segments;
+  std::vector<std::int64_t> offset{0};  // segment i covers [offset[i], offset[i+1])
+  for (const GradSink& sink : sinks) {
+    for (const auto& entry : sink.buffers_) {
+      const auto seen = std::find_if(
+          segments.begin(), segments.end(),
+          [&](const Segment& s) { return s.leaf == entry.first; });
+      if (seen != segments.end()) continue;
+      Segment segment{entry.first, entry.first->EnsureGrad(), {}};
+      for (const GradSink& other : sinks) {
+        for (const auto& [impl, buffer] : other.buffers_) {
+          if (impl == entry.first) segment.parts.push_back(buffer.data());
+        }
+      }
+      segments.push_back(std::move(segment));
+      offset.push_back(offset.back() +
+                       static_cast<std::int64_t>(entry.first->data.size()));
+    }
+  }
+  core::ParallelFor(0, offset.back(), kReduceGrain,
+                    [&](std::int64_t i0, std::int64_t i1) {
+    std::size_t s = static_cast<std::size_t>(
+        std::upper_bound(offset.begin(), offset.end(), i0) - offset.begin() - 1);
+    for (; s < segments.size() && offset[s] < i1; ++s) {
+      const std::int64_t lo = std::max(i0, offset[s]) - offset[s];
+      const std::int64_t hi = std::min(i1, offset[s + 1]) - offset[s];
+      float* g = segments[s].grad;
+      for (const float* part : segments[s].parts) {
+        for (std::int64_t i = lo; i < hi; ++i) g[i] += part[i];
+      }
+    }
+  });
 }
 
 std::int64_t Tensor::LiveGraphNodesForTesting() {
@@ -255,21 +332,43 @@ void Tensor::Backward() {
     Fatal("Backward() requires a 1x1 scalar loss");
   }
   if (!impl_->requires_grad) Fatal("Backward() on tensor without grad");
+  BackwardFrom({*this}, {{1.0f}});
+}
 
+void Tensor::BackwardFrom(const std::vector<Tensor>& roots,
+                          const std::vector<std::vector<float>>& seeds) {
+  if (roots.size() != seeds.size()) Fatal("BackwardFrom: one seed per root");
   std::unordered_set<const void*> visited;
   std::vector<Impl*> order;  // post-order: parents before children
-  TopoSort(impl_.get(), &visited, &order);
-
-  // Seed d(loss)/d(loss) = 1.
-  grad()[0] = 1.0f;
+  // A root's gradient becomes its seed (the seeds of a root listed twice
+  // add), whatever an earlier pass left in it.
+  for (const Tensor& root : roots) {
+    if (!root.defined()) Fatal("BackwardFrom on null tensor");
+    if (root.requires_grad()) {
+      float* g = root.impl()->EnsureGrad();
+      std::fill(g, g + root.size(), 0.0f);
+    }
+  }
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    Impl* root = roots[i].impl();
+    if (!root->requires_grad) continue;
+    if (seeds[i].size() != root->data.size()) {
+      Fatal("BackwardFrom: seed shape differs from its root");
+    }
+    float* g = root->EnsureGrad();
+    for (std::size_t j = 0; j < seeds[i].size(); ++j) g[j] += seeds[i][j];
+    TopoSort(root, &visited, &order);
+  }
 
   // Children come after parents in `order`, so walk it backwards. With obs
-  // on, each closure is timed into its op tag's backward-seconds sum.
+  // on, each closure is timed into its op tag's backward-seconds sum — except
+  // a join's, whose micro-batch ops time themselves on the threads that run
+  // them.
   const bool profile = obs::Enabled();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Impl* node = *it;
     if (node->backward_fn && node->requires_grad) {
-      if (profile) {
+      if (profile && node->micro_roots.empty()) {
         const std::int64_t start = obs::NowNanos();
         node->backward_fn();
         OpBackwardSeconds(node->op).Add(

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/random.h"
@@ -22,7 +23,8 @@ namespace dcmt {
 /// Graph construction: ops in ops.h create result tensors that record their
 /// parents and a backward closure. Calling Backward() on a [1 x 1] scalar
 /// seeds its gradient with 1 and runs the closures in reverse topological
-/// order, accumulating into each requires-grad tensor's grad buffer.
+/// order, accumulating into each requires-grad tensor's grad buffer;
+/// BackwardFrom() does the same from several seeded roots at once.
 class Tensor {
  public:
   /// Null handle; most APIs treat it as "absent".
@@ -94,9 +96,20 @@ class Tensor {
   /// Zeroes the gradient buffer if allocated.
   void ZeroGrad();
 
-  /// Runs reverse-mode autodiff from this [1 x 1] scalar. Aborts if the tensor
-  /// is not scalar or does not require grad.
+  /// Runs reverse-mode autodiff from this [1 x 1] scalar: BackwardFrom with
+  /// this one root and seed 1. Aborts if the tensor is not scalar or does not
+  /// require grad.
   void Backward();
+
+  /// Runs reverse-mode autodiff from several roots in one pass. Root i's
+  /// gradient is set to `seeds[i]` (root-shaped, row-major; the seeds of a
+  /// root listed twice add). Then every closure reachable from any root runs
+  /// once, in reverse topological order of their union, so a root that feeds
+  /// another root (pCTR into pCTCVR) gets both its seed and its downstream
+  /// gradient before its own closure runs. Roots that do not require grad
+  /// are skipped.
+  static void BackwardFrom(const std::vector<Tensor>& roots,
+                           const std::vector<std::vector<float>>& seeds);
 
   /// Returns a view-free copy sharing storage but detached from the graph:
   /// gradients do not flow through the result.
@@ -173,12 +186,49 @@ struct Tensor::Impl {
   /// pass reaching the node again would double-accumulate gradients;
   /// nn::GraphCheck reports such stale-tape reuse before it corrupts a run.
   bool backward_ran = false;
+  /// Roots of the private micro-batch tapes a join node holds
+  /// (ops::JoinMicroBatches). They are not parents: the topological sort
+  /// never walks into them, and the join's own closure runs their backward.
+  /// nn::CheckGraph descends into them.
+  std::vector<Tensor> micro_roots;
 
-  /// Gradient buffer, zero-allocated on first use.
-  float* EnsureGrad() {
-    if (grad.empty()) grad.assign(data.size(), 0.0f);
-    return grad.data();
-  }
+  /// Gradient buffer, zero-allocated on first use. For a leaf, while a
+  /// GradSink is installed on the calling thread, this is the sink's private
+  /// buffer for the leaf instead.
+  float* EnsureGrad();
+};
+
+/// Private leaf gradients of one micro-batch's backward pass (DESIGN.md §9).
+/// While a GradSink::Scope is alive on a thread, Impl::EnsureGrad on a leaf
+/// (a node without parents or closure: parameters, inputs) returns this
+/// sink's zero-initialized buffer for that leaf, so micro-batch backwards
+/// running on different threads never write one buffer. Interior nodes of a
+/// micro-batch's tape are private to it already and keep their own grad.
+class GradSink {
+ public:
+  /// Redirects the calling thread's leaf-gradient writes into `sink` until
+  /// destruction. Scopes do not nest.
+  class Scope {
+   public:
+    explicit Scope(GradSink* sink);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+  };
+
+  /// This sink's buffer for `leaf`, allocated zeroed on first use.
+  float* Buffer(Tensor::Impl* leaf);
+
+  /// For every leaf any sink holds, sets its own gradient to
+  /// grad + s_0 + s_1 + ... + s_{K-1}, elementwise and in sink order, so the
+  /// result does not depend on which threads ran the micro-batches. The
+  /// elementwise loop fans out over the pool; its partition never changes a
+  /// bit. Must run with no Scope installed on the calling thread.
+  static void Reduce(const std::vector<GradSink>& sinks);
+
+ private:
+  /// (leaf, buffer) in first-touch order; a step touches a few dozen leaves.
+  std::vector<std::pair<Tensor::Impl*, std::vector<float>>> buffers_;
 };
 
 }  // namespace dcmt

@@ -86,6 +86,15 @@ eval::TrainConfig BaseTrainConfig() {
   return config;
 }
 
+/// RAII: pool width for a test, serial again afterwards.
+class ThreadPoolWidth {
+ public:
+  explicit ThreadPoolWidth(int threads) {
+    core::ThreadPool::Global().SetNumThreads(threads);
+  }
+  ~ThreadPoolWidth() { core::ThreadPool::Global().SetNumThreads(1); }
+};
+
 struct RunResult {
   std::vector<std::vector<float>> params;
   eval::TrainHistory history;
@@ -159,6 +168,43 @@ TEST(CheckpointResumeTest, CrashResumeBitExactAtTwoThreads) {
     ExpectBitIdentical(baseline, resumed);
   }
   core::ThreadPool::Global().SetNumThreads(1);
+}
+
+TEST(CheckpointResumeTest, CrashResumeBitExactWithSplitBatches) {
+  // Batch 1024 runs as four micro-batches (DESIGN.md §9); the tail batch of
+  // each epoch (228 rows) does not split. 4400 exposures, 25% validation ->
+  // 3300 train rows -> 4 steps per epoch, 2 epochs.
+  ThreadPoolWidth width(4);
+  data::DatasetProfile profile;
+  profile.name = "ckpt_split";
+  profile.num_users = 50;
+  profile.num_items = 80;
+  profile.train_exposures = 4400;
+  profile.test_exposures = 1;
+  profile.target_click_rate = 0.25;
+  profile.target_cvr_given_click = 0.3;
+  profile.seed = 78;
+  const data::Dataset train = data::SyntheticLogGenerator(profile).GenerateTrain();
+  eval::TrainConfig config = BaseTrainConfig();
+  config.epochs = 2;
+  config.batch_size = 1024;
+  const RunResult baseline = RunTraining(train, config);
+  ASSERT_EQ(baseline.history.steps, 8);
+  for (const std::int64_t crash_step : {2, 5}) {  // mid-epoch in both epochs
+    const std::string dir =
+        TempDirFor("resume_split_" + std::to_string(crash_step));
+    eval::TrainConfig crashed = config;
+    crashed.checkpoint_dir = dir;
+    crashed.checkpoint_every = 1;
+    crashed.halt_after_steps = crash_step;
+    const RunResult partial = RunTraining(train, crashed);
+    EXPECT_EQ(partial.history.steps, crash_step);
+    eval::TrainConfig resumed = config;
+    resumed.checkpoint_dir = dir;
+    resumed.checkpoint_every = 1;
+    resumed.resume = true;
+    ExpectBitIdentical(baseline, RunTraining(train, resumed));
+  }
 }
 
 TEST(CheckpointResumeTest, SaveBeforeFirstBatchResumesBitExact) {

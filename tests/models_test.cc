@@ -195,6 +195,46 @@ TEST(RegistryTest, InfoNamesMatchRegistryNames) {
   }
 }
 
+// --- Doubly robust imputation travels with its batch ----------------------------
+
+class DrImputationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DrImputationTest, InterleavedForwardsKeepEachBatchsImputation) {
+  // Forward(b1); Forward(b2); Loss(b1, preds1) must be the loss of b1 alone:
+  // the imputation ê is part of b1's predictions, not model state that b2's
+  // forward overwrites (and b2 has a different row count).
+  data::SyntheticLogGenerator gen(TinyProfile());
+  const data::Dataset train = gen.GenerateTrain();
+  const data::Batch b1 = data::MakeContiguousBatch(train, 0, 96);
+  const data::Batch b2 = data::MakeContiguousBatch(train, 96, 40);
+  auto model = core::CreateModel(GetParam(), train.schema(), TinyConfig());
+  const models::Predictions alone = model->Forward(b1);
+  const float expected = model->Loss(b1, alone).item();
+
+  const models::Predictions preds1 = model->Forward(b1);
+  const models::Predictions preds2 = model->Forward(b2);
+  EXPECT_EQ(model->Loss(b1, preds1).item(), expected);
+  EXPECT_TRUE(std::isfinite(model->Loss(b2, preds2).item()));
+  if (GetParam() == "escm2-dr" || GetParam() == "multi-dr") {
+    ASSERT_TRUE(preds1.imputed_error.defined());
+    EXPECT_EQ(preds1.imputed_error.rows(), 96);
+    EXPECT_EQ(preds2.imputed_error.rows(), 40);
+  } else {
+    EXPECT_FALSE(preds1.imputed_error.defined());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IpwAndDr, DrImputationTest,
+                         ::testing::Values("escm2-ipw", "escm2-dr", "multi-ipw",
+                                           "multi-dr"),
+                         [](const ::testing::TestParamInfo<std::string>& param) {
+                           std::string name = param.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
 // --- Loss helper behaviours ----------------------------------------------------
 
 TEST(LossHelpersTest, CvrLossClickedOnlyIgnoresNonClicked) {

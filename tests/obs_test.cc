@@ -122,6 +122,16 @@ TEST_F(ObsHistogramTest, BinsClampAndCountNonFinite) {
   EXPECT_EQ(h.nonfinite(), 2);
 }
 
+TEST(ObsHistogramDeathTest, GeometryOutsideTheCapIsFatalAndNamesTheLimit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(obs::Registry::Global().histogram("obs_test_hist_wide", 65, 0.0, 1.0),
+               "bins must be in \\[1, 64\\]");
+  EXPECT_DEATH(obs::Registry::Global().histogram("obs_test_hist_none", 0, 0.0, 1.0),
+               "bins must be in \\[1, 64\\]");
+  EXPECT_DEATH(obs::Registry::Global().histogram("obs_test_hist_flat", 4, 1.0, 1.0),
+               "hi must exceed lo");
+}
+
 TEST_F(ObsPrometheusTest, RenderIsSortedTypedAndCumulative) {
   obs::Registry& registry = obs::Registry::Global();
   registry.counter("obs_test_z_total").Inc(9);

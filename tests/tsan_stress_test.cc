@@ -42,6 +42,7 @@
 #include "eval/experiment.h"
 #include "eval/trainer.h"
 #include "gated_model_source.h"
+#include "optim/adam.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "serve/router.h"
@@ -741,6 +742,66 @@ TEST(TsanStress, RouterSubmittersRaceShutdown) {
   EXPECT_EQ(torn.load(), 0);
   const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.scored + stats.rejected_shutdown, 4 * 30);
+}
+
+/// Losses of `steps` DCMT training steps on 1024-row batches: every step
+/// splits into four micro-batches (DESIGN.md §9), so the join's shard
+/// hand-off, the per-micro-batch gradient sinks and their reduction all run.
+std::vector<float> SplitTrainingLosses(int steps) {
+  data::DatasetProfile profile = data::AeEsProfile();
+  profile.train_exposures = 2048;
+  profile.test_exposures = 1;
+  const data::Dataset train = data::SyntheticLogGenerator(profile).GenerateTrain();
+  models::ModelConfig config;
+  config.embedding_dim = 4;
+  config.hidden_dims = {8, 4};
+  core::Dcmt model(train.schema(), config);
+  optim::Adam adam(model.parameters(), 0.01f);
+  std::vector<float> losses;
+  for (int step = 0; step < steps; ++step) {
+    const data::Batch batch =
+        data::MakeContiguousBatch(train, (step % 2) * 1024, 1024);
+    adam.ZeroGrad();
+    const models::Predictions preds = model.Forward(batch);
+    Tensor loss = model.Loss(batch, preds);
+    loss.Backward();
+    adam.Step();
+    losses.push_back(loss.item());
+  }
+  return losses;
+}
+
+TEST(TsanStress, SplitTrainingStepsBesideServingOnOnePool) {
+  // Micro-batch training steps share the pool with a serving engine whose
+  // submitters score through it at the same time. Whichever caller loses
+  // the pool runs its shards inline, with the same partition, so the
+  // training losses are the bits of a run without serving.
+  ScopedParallelConfig config(4, 1);
+  const std::vector<float> alone = SplitTrainingLosses(3);
+  ServeStressFixture& fixture = ServeFixture();
+  serve::EngineConfig engine_config;
+  engine_config.max_batch = 16;
+  serve::Engine engine(fixture.frozen.get(), engine_config);
+  // dcmt-lint: allow(concurrency) — stop flag and counter for the submitter.
+  std::atomic<bool> stop{false};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> scored{0};
+  // dcmt-lint: allow(concurrency) — a real submitter beside the trainer.
+  std::thread submitter([&] {
+    for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const serve::Score score = engine.ScoreSync(fixture.rows[i % 128]);
+      if (score.ok() && score.pctcvr > 0.0f && score.pctcvr < 1.0f) {
+        scored.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  const std::vector<float> beside = SplitTrainingLosses(3);
+  stop.store(true, std::memory_order_relaxed);
+  submitter.join();
+  engine.Shutdown();
+  EXPECT_EQ(alone, beside);
+  EXPECT_GT(scored.load(), 0);
+  EXPECT_EQ(engine.stats().scored, engine.stats().submitted);
 }
 
 TEST(TsanStress, ContinualLoopRefreshesUnderConcurrency) {

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Tests of the verdict rules in tools/ab_pairs (no benchmark runs).
+"""Tests of tools/ab_pairs: its verdict rules, and its handling of a bad run
+with stub checkouts (no benchmark runs).
 
     python3 tools/ab_pairs_test.py
 """
 
+import contextlib
 import importlib.machinery
 import importlib.util
+import io
+import json
 import os
+import tempfile
+import textwrap
 import unittest
 
 _PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ab_pairs")
@@ -102,6 +108,51 @@ class VerdictTest(unittest.TestCase):
         head = [200.0 + v for v in base[:9]] + [None]
         self.assertEqual(ab_pairs.verdict(base, head, "higher", 0.15)["verdict"],
                          "spread")
+
+
+STUB_RUN = textwrap.dedent("""\
+    import json, sys
+    correct = {correct}
+    print("e2ebench: building", file=sys.stderr)
+    if not correct:
+        print("e2ebench: check failed: traced losses differ", file=sys.stderr)
+    print(json.dumps({{"correct": correct, "attempted": 1, "failed": 0,
+                      "metrics": {{"rows_per_s": {{"value": 1.0}}}}}}))
+    """)
+
+
+def make_stub_checkout(root, correct):
+    """A checkout whose e2ebench/run.py prints one result and some stderr."""
+    os.makedirs(os.path.join(root, "e2ebench"))
+    with open(os.path.join(root, "e2ebench", "run.py"), "w") as f:
+        f.write(STUB_RUN.format(correct=correct))
+    with open(os.path.join(root, "BENCHMARK.json"), "w") as f:
+        json.dump({"run_seconds": 1, "end_to_end": [
+            {"name": "rows_per_s", "better": "higher", "bound": 0.15}]}, f)
+
+
+class BadRunTest(unittest.TestCase):
+    def test_bad_run_names_its_stderr_file_and_failed_check(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            base, head = os.path.join(tmp, "base"), os.path.join(tmp, "head")
+            make_stub_checkout(base, correct=True)
+            make_stub_checkout(head, correct=False)
+            logs = os.path.join(tmp, "logs")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = ab_pairs.main([base, head, "--workload", "w",
+                                        "--seeds", "3", "--logs", logs])
+            text = out.getvalue()
+            self.assertEqual(status, 1)
+            log_path = os.path.join(logs, "pair01-head-seed3.stderr")
+            self.assertIn("bad run: head seed 3: correct=false (stderr: %s)"
+                          % log_path, text)
+            self.assertIn("    e2ebench: check failed: traced losses differ",
+                          text)
+            self.assertTrue(os.path.exists(
+                os.path.join(logs, "pair01-base-seed3.stderr")))
+            self.assertNotIn("bad run: base", text)
 
 
 if __name__ == "__main__":
