@@ -1,6 +1,7 @@
 // Thread-scaling benchmarks of the parallel runtime: the cost of one pool
 // dispatch, matmul forward and forward+backward (a 512x128x128 GEMM and the
-// two AE-ES tower layers), the full DCMT train step, and concurrent
+// two AE-ES tower layers), the full DCMT train step, its optimizer tail
+// (gradient clip + Adam), and concurrent
 // experiment repeats, each at 1/2/4/N threads (N = hardware_concurrency
 // when > 4). Real (wall-clock) time is the measured quantity — that is what
 // kernel parallelism buys.
@@ -165,6 +166,39 @@ void BM_DcmtTrainStep(benchmark::State& state) {
   core::ThreadPool::Global().SetNumThreads(1);
 }
 BENCHMARK(BM_DcmtTrainStep)->Apply(ThreadArgs)->UseRealTime();
+
+/// The optimizer tail of a train step: ClipGradNorm(10) + Adam::Step over
+/// the AE-ES DCMT parameter set, on the gradients of one 1024-row backward.
+/// At these gradients the norm stays under 10, so the clip is the norm pass
+/// alone, as in training. Items are parameter elements updated.
+void BM_OptimizerTail(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  core::ThreadPool::Global().SetNumThreads(threads);
+  data::DatasetProfile profile = data::AeEsProfile();
+  profile.train_exposures = 4096;
+  data::SyntheticLogGenerator generator(profile);
+  const data::Dataset train = generator.GenerateTrain();
+
+  models::ModelConfig config;
+  core::Dcmt model(train.schema(), config);
+  optim::Adam adam(model.parameters(), 1e-3f);
+  const data::Batch batch = data::MakeContiguousBatch(train, 0, 1024);
+  adam.ZeroGrad();
+  model.Loss(batch, model.Forward(batch)).Backward();
+  std::int64_t elements = 0;
+  for (const Tensor& p : adam.params()) {
+    if (p.has_grad()) elements += p.size();
+  }
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adam.ClipGradNorm(10.0f));
+    adam.Step();
+  }
+  state.SetItemsProcessed(state.iterations() * elements);
+  core::ThreadPool::Global().SetNumThreads(1);
+}
+BENCHMARK(BM_OptimizerTail)->Apply(ThreadArgs)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ExperimentRepeats(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

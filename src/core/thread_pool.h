@@ -1,8 +1,11 @@
 #ifndef DCMT_CORE_THREAD_POOL_H_
 #define DCMT_CORE_THREAD_POOL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace dcmt {
 namespace core {
@@ -96,6 +99,23 @@ void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
 void ParallelForChunks(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
     const std::function<void(int, std::int64_t, std::int64_t)>& fn);
+
+/// Walks [i0, i1) of a range made of segments laid end to end, segment s
+/// covering [offset[s], offset[s+1]) (offset starts at 0 and ends with the
+/// total). Calls fn(s, lo, hi) for each segment overlapping [i0, i1), in
+/// segment order, with [lo, hi) local to segment s. This is how a single
+/// ParallelFor covers many buffers: the layout decides only which chunk
+/// touches an element.
+template <typename Fn>
+void ForEachSegmentPiece(const std::vector<std::int64_t>& offset,
+                         std::int64_t i0, std::int64_t i1, Fn&& fn) {
+  std::size_t s = static_cast<std::size_t>(
+      std::upper_bound(offset.begin(), offset.end(), i0) - offset.begin() - 1);
+  for (; s + 1 < offset.size() && offset[s] < i1; ++s) {
+    fn(s, std::max(i0, offset[s]) - offset[s],
+       std::min(i1, offset[s + 1]) - offset[s]);
+  }
+}
 
 /// Testing hook: caps the effective grain of every ParallelFor at
 /// `max_grain` so that tiny tensors still exercise the multi-chunk code

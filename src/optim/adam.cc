@@ -3,14 +3,15 @@
 #include <cmath>
 
 #include "core/thread_pool.h"
+#include "tensor/kernels.h"
 
 namespace dcmt {
 namespace optim {
 namespace {
 
-/// Minimum parameter elements per Adam chunk: ~8k elements is a few
-/// microseconds of update work, a few times the pool's dispatch cost.
-/// Tower weights stay single-chunk; the embedding tables fan out.
+/// Minimum elements per Adam chunk, over all parameters laid end to end:
+/// ~8k vectorized updates is a couple of microseconds, above the pool's
+/// dispatch cost, and splits a DCMT step's ~80k parameters four ways.
 constexpr std::int64_t kElementGrain = 8192;
 
 }  // namespace
@@ -57,29 +58,24 @@ bool Adam::ImportState(const AdamState& state) {
 
 void Adam::Step() {
   ++step_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Tensor& p = params_[k];
-    if (!p.has_grad()) continue;
-    float* w = p.data();
-    const float* g = p.grad();
-    float* m = m_[k].data();
-    float* v = v_[k].data();
-    // Every element updates independently, so any partition (thread count)
-    // gives the same bits.
-    core::ParallelFor(0, p.size(), kElementGrain,
-                      [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float grad = g[i] + weight_decay_ * w[i];
-        m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
-        v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
-        const float m_hat = m[i] / bias1;
-        const float v_hat = v[i] / bias2;
-        w[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-      }
+  const kernels::AdamStepCoeffs coeffs{
+      lr_,
+      beta1_,
+      beta2_,
+      eps_,
+      weight_decay_,
+      1.0f - std::pow(beta1_, static_cast<float>(step_)),
+      1.0f - std::pow(beta2_, static_cast<float>(step_))};
+  // Every element updates independently, so any partition (thread count)
+  // gives the same bits.
+  const GradSpans spans = GradLayout();
+  core::ParallelFor(0, spans.size(), kElementGrain,
+                    [&](std::int64_t i0, std::int64_t i1) {
+    spans.Visit(i0, i1, [&](std::size_t k, std::int64_t lo, std::int64_t hi) {
+      kernels::AdamUpdate(params_[k].data(), params_[k].grad(), m_[k].data(),
+                          v_[k].data(), coeffs, lo, hi);
     });
-  }
+  });
 }
 
 }  // namespace optim

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 // SIMD kernels (DESIGN.md §14). This file is the project's sanctioned
@@ -19,6 +20,8 @@ namespace {
 // sequential chain stays a single sequential chain in codegen.
 typedef float Vf __attribute__((vector_size(32)));
 typedef std::int32_t Vi __attribute__((vector_size(32)));
+// Eight double lanes, the widened image of one Vf (one zmm, two ymm).
+typedef double Vd __attribute__((vector_size(64)));
 
 inline Vf LoadV(const float* p) {
   Vf v;
@@ -77,6 +80,20 @@ inline Vf MaskTail(Vf v, int n) {
 }
 
 inline Vf VAbs(Vf x) { return x < Vf{} ? -x : x; }
+
+/// Lane-wise IEEE sqrt (correctly rounded, so bit-identical to std::sqrt).
+/// The AVX builtin is the vector instruction itself; elsewhere a lane loop.
+/// A scalar std::sqrt under the default -fmath-errno would keep the
+/// caller's loop from vectorizing.
+inline Vf VSqrt(Vf x) {
+#if defined(__AVX__)
+  return __builtin_ia32_sqrtps256(x);
+#else
+  Vf r;
+  for (int l = 0; l < kSimdWidth; ++l) r[l] = std::sqrt(x[l]);
+  return r;
+#endif
+}
 
 inline Vf VMin(Vf a, Vf b) { return a < b ? a : b; }
 inline Vf VMax(Vf a, Vf b) { return a > b ? a : b; }
@@ -773,6 +790,66 @@ double ReduceSquares(const float* x, std::int64_t i0, std::int64_t i1) {
     acc += static_cast<double>(x[i] * x[i]);
   }
   return acc;
+}
+
+void AccumulateSquareLanes(const float* x, std::int64_t n, double* lanes) {
+  Vd acc;
+  std::memcpy(&acc, lanes, sizeof(acc));
+  std::int64_t i = 0;
+  for (; i + kSimdWidth <= n; i += kSimdWidth) {
+    const Vd d = __builtin_convertvector(LoadV(x + i), Vd);
+    acc += d * d;
+  }
+  if (i < n) {
+    // Zero padding adds +0.0, which leaves every lane's sum unchanged.
+    const Vd d = __builtin_convertvector(
+        LoadPartial(x + i, static_cast<int>(n - i)), Vd);
+    acc += d * d;
+  }
+  std::memcpy(lanes, &acc, sizeof(acc));
+}
+
+void AdamUpdate(float* w, const float* g, float* m, float* v,
+                const AdamStepCoeffs& c, std::int64_t i0, std::int64_t i1) {
+  const Vf wd = Splat(c.weight_decay);
+  const Vf b1 = Splat(c.beta1);
+  const Vf b2 = Splat(c.beta2);
+  const Vf one_minus_b1 = Splat(1.0f - c.beta1);
+  const Vf one_minus_b2 = Splat(1.0f - c.beta2);
+  const Vf bias1 = Splat(c.bias1);
+  const Vf bias2 = Splat(c.bias2);
+  const Vf lr = Splat(c.lr);
+  const Vf eps = Splat(c.eps);
+  // Written in the scalar reference's expression order, so the compiler
+  // contracts the same products into FMAs in both.
+  const auto update = [&](Vf& wv, Vf gv, Vf& mv, Vf& vv) {
+    const Vf grad = gv + wd * wv;
+    mv = b1 * mv + one_minus_b1 * grad;
+    vv = b2 * vv + one_minus_b2 * grad * grad;
+    const Vf m_hat = mv / bias1;
+    const Vf v_hat = vv / bias2;
+    wv -= lr * m_hat / (VSqrt(v_hat) + eps);
+  };
+  std::int64_t i = i0;
+  for (; i + kSimdWidth <= i1; i += kSimdWidth) {
+    Vf wv = LoadV(w + i);
+    Vf mv = LoadV(m + i);
+    Vf vv = LoadV(v + i);
+    update(wv, LoadV(g + i), mv, vv);
+    StoreV(w + i, wv);
+    StoreV(m + i, mv);
+    StoreV(v + i, vv);
+  }
+  if (i < i1) {
+    const int r = static_cast<int>(i1 - i);
+    Vf wv = LoadPartial(w + i, r);
+    Vf mv = LoadPartial(m + i, r);
+    Vf vv = LoadPartial(v + i, r);
+    update(wv, LoadPartial(g + i, r), mv, vv);
+    StorePartial(w + i, wv, r);
+    StorePartial(m + i, mv, r);
+    StorePartial(v + i, vv, r);
+  }
 }
 
 }  // namespace kernels

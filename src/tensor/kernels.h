@@ -9,8 +9,9 @@ namespace kernels {
 // SIMD compute kernels behind ops.cc (DESIGN.md §14).
 //
 // Everything here is a pure function over raw row-major float buffers: no
-// Tensor, no autograd, no threading. ops.cc owns partitioning (ParallelFor)
-// and calls a kernel per chunk; kernels own the vectorized inner loops.
+// Tensor, no autograd, no threading. The callers (ops.cc, the optimizers)
+// own partitioning (ParallelFor) and call a kernel per chunk; kernels own
+// the vectorized inner loops.
 //
 // Vectorization uses GCC/Clang portable vector extensions (8-wide float,
 // 32 bytes — one AVX2 register, two SSE/NEON registers on narrower targets);
@@ -178,6 +179,34 @@ double ReduceDot(const float* a, const float* w, std::int64_t i0,
                  std::int64_t i1);
 /// sum (x[i]*x[i]) — float square first, then widened.
 double ReduceSquares(const float* x, std::int64_t i0, std::int64_t i1);
+
+// --- Optimizer tail (optim::Optimizer::ClipGradNorm, optim::Adam) ----------
+
+/// lanes[l] += (double)x[i] * x[i] for every i in [0, n) with i % 8 == l,
+/// each lane in ascending i. `lanes` holds kSimdWidth doubles. The squares
+/// are exact in double, so a lane's value depends only on which elements
+/// reach it and in what order — a pure function of the caller's layout.
+void AccumulateSquareLanes(const float* x, std::int64_t n, double* lanes);
+
+/// Hyperparameters of one Adam step; bias1/bias2 are 1 - beta^t.
+struct AdamStepCoeffs {
+  float lr;
+  float beta1;
+  float beta2;
+  float eps;
+  float weight_decay;
+  float bias1;
+  float bias2;
+};
+
+/// Adam with coupled L2 over [i0, i1), lane-wise:
+///   grad = g + wd*w; m = b1*m + (1-b1)*grad; v = b2*v + (1-b2)*grad*grad;
+///   w -= lr * (m/bias1) / (sqrt(v/bias2) + eps).
+/// The ragged tail runs the same vector code on zero-padded registers, and
+/// sqrt and division are correctly rounded, so any split of [i0, i1) gives
+/// the bits of the scalar loop written in this expression form.
+void AdamUpdate(float* w, const float* g, float* m, float* v,
+                const AdamStepCoeffs& c, std::int64_t i0, std::int64_t i1);
 
 }  // namespace kernels
 }  // namespace dcmt

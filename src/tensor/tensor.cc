@@ -138,16 +138,14 @@ void GradSink::Reduce(const std::vector<GradSink>& sinks) {
   }
   core::ParallelFor(0, offset.back(), kReduceGrain,
                     [&](std::int64_t i0, std::int64_t i1) {
-    std::size_t s = static_cast<std::size_t>(
-        std::upper_bound(offset.begin(), offset.end(), i0) - offset.begin() - 1);
-    for (; s < segments.size() && offset[s] < i1; ++s) {
-      const std::int64_t lo = std::max(i0, offset[s]) - offset[s];
-      const std::int64_t hi = std::min(i1, offset[s + 1]) - offset[s];
+    core::ForEachSegmentPiece(offset, i0, i1, [&](std::size_t s,
+                                                  std::int64_t lo,
+                                                  std::int64_t hi) {
       float* g = segments[s].grad;
       for (const float* part : segments[s].parts) {
         for (std::int64_t i = lo; i < hi; ++i) g[i] += part[i];
       }
-    }
+    });
   });
 }
 

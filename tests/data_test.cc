@@ -471,5 +471,98 @@ TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_FALSE(data::ReadCsv("/nonexistent/path.csv", &d));
 }
 
+// Malformed CSV input fails closed: ReadCsv returns false and names the
+// offending cell as path:line:column instead of throwing or handing the
+// trainer an id outside its embedding table.
+class CsvRejectTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kHeader =
+      "deep:user:10,wide:cat:3,click,conversion,oracle_conversion,true_ctr,"
+      "true_cvr,user_index,item_index\n";
+  static constexpr const char* kGoodRow = "4,2,1,1,1,0.5,0.25,7,9\n";
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Writes `text`, reads it back; returns the read's result and keeps its
+  /// stderr in err_.
+  bool Read(const std::string& text) {
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    EXPECT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    ::testing::internal::CaptureStderr();
+    const bool ok = data::ReadCsv(path_, &dataset_);
+    err_ = ::testing::internal::GetCapturedStderr();
+    return ok;
+  }
+
+  /// The read failed and blamed `line`:`column` of the file.
+  void ExpectRejectedAt(const std::string& text, int line, int column) {
+    EXPECT_FALSE(Read(text));
+    const std::string where =
+        path_ + ":" + std::to_string(line) + ":" + std::to_string(column) + ":";
+    EXPECT_EQ(err_.rfind(where, 0), 0u) << err_;
+    EXPECT_TRUE(dataset_.empty());
+  }
+
+  std::string path_ = ::testing::TempDir() + "/dcmt_reject_" +
+                      std::to_string(static_cast<long long>(::getpid())) +
+                      ".csv";
+  data::Dataset dataset_;
+  std::string err_;
+};
+
+TEST_F(CsvRejectTest, WellFormedFileReads) {
+  ASSERT_TRUE(Read(std::string(kHeader) + kGoodRow)) << err_;
+  ASSERT_EQ(dataset_.size(), 1);
+  const data::Example& e = dataset_.examples()[0];
+  EXPECT_EQ(e.deep_ids, std::vector<int>{4});
+  EXPECT_EQ(e.wide_ids, std::vector<int>{2});
+  EXPECT_EQ(e.conversion, 1);
+  EXPECT_FLOAT_EQ(e.true_cvr, 0.25f);
+  EXPECT_EQ(e.item_index, 9);
+}
+
+TEST_F(CsvRejectTest, RejectsNonPositiveOrNonNumericVocab) {
+  ExpectRejectedAt("deep:user:0,click,conversion,oracle_conversion,true_ctr,"
+                   "true_cvr,user_index,item_index\n",
+                   1, 1);
+  ExpectRejectedAt("deep:user:-4,click,conversion,oracle_conversion,true_ctr,"
+                   "true_cvr,user_index,item_index\n",
+                   1, 1);
+  ExpectRejectedAt("click,deep:user:ten,conversion,oracle_conversion,"
+                   "true_ctr,true_cvr,user_index,item_index\n",
+                   1, 7);
+}
+
+TEST_F(CsvRejectTest, RejectsNonNumericCells) {
+  ExpectRejectedAt(std::string(kHeader) + kGoodRow + "4x,2,1,1,1,0.5,0.25,7,9\n",
+                   3, 1);
+  ExpectRejectedAt(std::string(kHeader) + "4,2,1,1,1,abc,0.25,7,9\n", 2, 11);
+  ExpectRejectedAt(std::string(kHeader) + "4,2,1,1,1,0.5,0.25,,9\n", 2, 20);
+}
+
+TEST_F(CsvRejectTest, RejectsIdsOutsideTheVocab) {
+  ExpectRejectedAt(std::string(kHeader) + "10,2,1,1,1,0.5,0.25,7,9\n", 2, 1);
+  ExpectRejectedAt(std::string(kHeader) + "-1,2,1,1,1,0.5,0.25,7,9\n", 2, 1);
+  ExpectRejectedAt(std::string(kHeader) + "4,3,1,1,1,0.5,0.25,7,9\n", 2, 3);
+}
+
+TEST_F(CsvRejectTest, RejectsLabelsOutsideZeroOne) {
+  ExpectRejectedAt(std::string(kHeader) + "4,2,2,1,1,0.5,0.25,7,9\n", 2, 5);
+  ExpectRejectedAt(std::string(kHeader) + "4,2,1,-1,1,0.5,0.25,7,9\n", 2, 7);
+  ExpectRejectedAt(std::string(kHeader) + "4,2,1,1,7,0.5,0.25,7,9\n", 2, 9);
+}
+
+TEST_F(CsvRejectTest, RejectsConversionWithoutClick) {
+  ExpectRejectedAt(std::string(kHeader) + "4,2,0,1,1,0.5,0.25,7,9\n", 2, 7);
+  // A non-click with a potential conversion is a fake negative, not an error.
+  ASSERT_TRUE(Read(std::string(kHeader) + "4,2,0,0,1,0.5,0.25,7,9\n")) << err_;
+}
+
+TEST_F(CsvRejectTest, RejectsRowsOfTheWrongWidth) {
+  ExpectRejectedAt(std::string(kHeader) + "4,2,1,1,1,0.5,0.25,7\n", 2, 1);
+}
+
 }  // namespace
 }  // namespace dcmt

@@ -38,7 +38,8 @@ if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
 fi
 
 # Race detection: rebuild the concurrency-heavy suites under ThreadSanitizer
-# and run them. TSan is incompatible with ASan, so it gets its own tree.
+# and run them (the optimizer suites too: the clip norm and Adam fan out
+# over the pool). TSan is incompatible with ASan, so it gets its own tree.
 # Skippable (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
 if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
@@ -46,10 +47,10 @@ if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
     -DDCMT_SANITIZE=thread \
     -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target tsan_stress_test parallel_test obs_test
+    --target tsan_stress_test parallel_test obs_test optim_test
   TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs'
+    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam'
 fi
 
 # Serving parity + engine stage (DESIGN.md §13): the train/serve bit-exact
