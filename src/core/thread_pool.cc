@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -230,10 +233,23 @@ void ThreadPool::RunShards(int shards, const std::function<void(int)>& fn) {
 }
 
 int DefaultNumThreads() {
-  if (const char* env = std::getenv("DCMT_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+  // A typo must fail loudly, not silently pick a width.
+  const char* env = std::getenv("DCMT_THREADS");
+  const std::string_view value = env != nullptr ? env : "";
+  int n = 0;
+  if (!value.empty()) {
+    const char* last = value.data() + value.size();
+    const std::from_chars_result parsed =
+        std::from_chars(value.data(), last, n);
+    if (parsed.ec != std::errc() || parsed.ptr != last || n < 0) {
+      std::fprintf(stderr,
+                   "dcmt thread_pool fatal: DCMT_THREADS must be a "
+                   "non-negative integer, got '%s'\n",
+                   env);
+      std::abort();
+    }
   }
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -250,14 +266,13 @@ int ParallelChunks(std::int64_t range, std::int64_t grain) {
   return static_cast<int>(std::min<std::int64_t>(threads, max_chunks));
 }
 
-void ParallelForChunks(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn) {
+void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                 const std::function<void(std::int64_t, std::int64_t)>& fn) {
   const std::int64_t range = end - begin;
   if (range <= 0) return;
   const int chunks = ParallelChunks(range, grain);
   if (chunks <= 1) {
-    fn(0, begin, end);
+    fn(begin, end);
     return;
   }
   const std::int64_t base = range / chunks;
@@ -266,14 +281,8 @@ void ParallelForChunks(
     const std::int64_t lo =
         begin + c * base + std::min<std::int64_t>(c, rem);
     const std::int64_t hi = lo + base + (c < rem ? 1 : 0);
-    fn(c, lo, hi);
+    fn(lo, hi);
   });
-}
-
-void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                 const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  ParallelForChunks(begin, end, grain,
-                    [&fn](int, std::int64_t lo, std::int64_t hi) { fn(lo, hi); });
 }
 
 void SetGrainCapForTesting(std::int64_t max_grain) {

@@ -31,7 +31,7 @@ namespace core {
 // Dispatch is spin-then-park: after a job a worker busy-polls for a short
 // window before it blocks, so back-to-back dispatches (the GEMMs of one
 // training step) cost about a microsecond each instead of a condvar
-// wake-up. The kernel grains in tensor/ops.cc are sized against that cost.
+// wake-up. The GEMM grain in tensor/ops.cc is sized against that cost.
 
 /// Persistent worker pool. Lazy global singleton; the pool owns
 /// `num_threads() - 1` OS threads because the calling thread always executes
@@ -77,12 +77,14 @@ class ThreadPool {
 };
 
 /// Thread count implied by the environment: `DCMT_THREADS` when set to a
-/// positive integer, otherwise hardware_concurrency (at least 1).
+/// positive integer, otherwise (unset, empty or 0) hardware_concurrency, at
+/// least 1. Any other value (not a whole integer, negative, out of int
+/// range) aborts with a message that quotes it.
 int DefaultNumThreads();
 
 /// Number of chunks a ParallelFor over `range` items with minimum chunk size
 /// `grain` would use right now. Pure in (range, grain, pool width, region
-/// state), so callers can pre-size per-chunk partial buffers.
+/// state, grain cap).
 int ParallelChunks(std::int64_t range, std::int64_t grain);
 
 /// Statically partitions [begin, end) into ParallelChunks() contiguous
@@ -91,14 +93,6 @@ int ParallelChunks(std::int64_t range, std::int64_t grain);
 /// one chunk, fn runs inline on the calling thread — the serial fast path.
 void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
                  const std::function<void(std::int64_t, std::int64_t)>& fn);
-
-/// ParallelFor variant passing the chunk index as well:
-/// fn(chunk, chunk_begin, chunk_end). Chunk indices are dense in
-/// [0, ParallelChunks(range, grain)), which is what deterministic
-/// tree-reductions key their partial buffers on.
-void ParallelForChunks(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn);
 
 /// Walks [i0, i1) of a range made of segments laid end to end, segment s
 /// covering [offset[s], offset[s+1]) (offset starts at 0 and ends with the
@@ -121,7 +115,7 @@ void ForEachSegmentPiece(const std::vector<std::int64_t>& offset,
 /// `max_grain` so that tiny tensors still exercise the multi-chunk code
 /// paths (0 disables the cap — the default). Not for production use: the
 /// cap is part of the partition function, so changing it changes chunk
-/// layouts (and hence reduction orders) like changing the thread count does.
+/// layouts like changing the thread count does.
 void SetGrainCapForTesting(std::int64_t max_grain);
 
 }  // namespace core

@@ -21,43 +21,6 @@ void ApplyStaged(const StagedParameters& staged, Module* module) {
   }
 }
 
-/// Parses the legacy v1 image (magic + u32 count + bare records of
-/// name/rows/cols/raw floats). Strict: the image must end exactly after the
-/// last record — v1 files with trailing garbage are rejected.
-bool StageV1(std::string_view image, const Module& module,
-             StagedParameters* staged) {
-  std::size_t pos = sizeof(kCheckpointMagicV1);
-  const auto read = [&](void* out, std::size_t n) {
-    if (image.size() - pos < n) return false;
-    std::memcpy(out, image.data() + pos, n);
-    pos += n;
-    return true;
-  };
-
-  std::uint32_t count = 0;
-  if (!read(&count, sizeof(count))) return false;
-  const auto& params = module.parameters();
-  if (count != params.size()) return false;
-
-  staged->values.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    if (!read(&name_len, sizeof(name_len)) || name_len > 4096) return false;
-    std::string name(name_len, '\0');
-    if (!read(name.data(), name_len)) return false;
-    std::int32_t rows = 0, cols = 0;
-    if (!read(&rows, sizeof(rows))) return false;
-    if (!read(&cols, sizeof(cols))) return false;
-    const Tensor& p = params[i];
-    if (name != p.name() || rows != p.rows() || cols != p.cols()) return false;
-    staged->values[i].resize(static_cast<std::size_t>(p.size()));
-    if (!read(staged->values[i].data(), sizeof(float) * staged->values[i].size())) {
-      return false;
-    }
-  }
-  return pos == image.size();
-}
-
 /// Validates a kParameters payload against the module into `staged`.
 bool StageV2Payload(std::string_view payload, const Module& module,
                     StagedParameters* staged) {
@@ -144,17 +107,12 @@ bool LoadParameters(Module* module, const std::string& path,
   std::string image;
   if (!reader->ReadAll(&image)) return false;
 
+  std::vector<RecordView> records;
+  if (!ParseCheckpointImage(image, &records)) return false;
+  // A model checkpoint carries exactly one kParameters record.
+  if (records.size() != 1 || records[0].type != kParameters) return false;
   StagedParameters staged;
-  if (image.size() >= sizeof(kCheckpointMagicV1) &&
-      std::memcmp(image.data(), kCheckpointMagicV1, sizeof(kCheckpointMagicV1)) == 0) {
-    if (!StageV1(image, *module, &staged)) return false;
-  } else {
-    std::vector<RecordView> records;
-    if (!ParseCheckpointImage(image, &records)) return false;
-    // A model checkpoint carries exactly one kParameters record.
-    if (records.size() != 1 || records[0].type != kParameters) return false;
-    if (!StageV2Payload(records[0].payload, *module, &staged)) return false;
-  }
+  if (!StageV2Payload(records[0].payload, *module, &staged)) return false;
   ApplyStaged(staged, module);
   return true;
 }

@@ -25,12 +25,8 @@ namespace nn {
 // EOF; trailing garbage is rejected. Writers go through core::AtomicWriteFile
 // (tmp + fsync + rename), so a crash mid-save leaves the previous complete
 // file in place, never a torn one.
-//
-// The legacy v1 format (magic "DCMTCKP1": bare parameter records, no
-// checksums) is still readable by LoadParameters.
 // ---------------------------------------------------------------------------
 
-inline constexpr char kCheckpointMagicV1[8] = {'D', 'C', 'M', 'T', 'C', 'K', 'P', '1'};
 inline constexpr char kCheckpointMagicV2[8] = {'D', 'C', 'M', 'T', 'C', 'K', 'P', '2'};
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
@@ -83,11 +79,11 @@ bool ApplyParametersPayload(std::string_view payload, Module* module);
 bool SaveParameters(const Module& module, const std::string& path,
                     core::FileSystem* fs = nullptr);
 
-/// Loads a checkpoint written by SaveParameters (v2) or by the legacy v1
-/// writer into `module`. The whole file is validated — framing, checksums,
-/// and every parameter's name/shape — before any tensor is written, so a
-/// rejected file (corrupt, truncated, or from a different architecture)
-/// leaves the module completely unchanged. Returns false on failure.
+/// Loads a checkpoint written by SaveParameters into `module`. The whole
+/// file is validated — framing, checksums, and every parameter's
+/// name/shape — before any tensor is written, so a rejected file (corrupt,
+/// truncated, in an older format, or from a different architecture) leaves
+/// the module completely unchanged. Returns false on failure.
 bool LoadParameters(Module* module, const std::string& path,
                     core::FileSystem* fs = nullptr);
 

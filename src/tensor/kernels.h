@@ -9,9 +9,10 @@ namespace kernels {
 // SIMD compute kernels behind ops.cc (DESIGN.md §14).
 //
 // Everything here is a pure function over raw row-major float buffers: no
-// Tensor, no autograd, no threading. The callers (ops.cc, the optimizers)
-// own partitioning (ParallelFor) and call a kernel per chunk; kernels own
-// the vectorized inner loops.
+// Tensor, no autograd, no threading. The GEMM callers in ops.cc and the
+// optimizers own partitioning (ParallelFor) and call a kernel per chunk; the
+// other ops call a kernel once over the whole range. Kernels own the
+// vectorized inner loops.
 //
 // Vectorization uses GCC/Clang portable vector extensions (8-wide float,
 // 32 bytes — one AVX2 register, two SSE/NEON registers on narrower targets);
@@ -21,8 +22,8 @@ namespace kernels {
 //  * Every Map* kernel is LANE-WISE: element i's result depends only on
 //    x[i], never on its position within a SIMD block. Ragged heads/tails are
 //    computed with the same vector code on zero-padded registers, so
-//    splitting [0,N) at ANY boundary (ParallelFor with any grain, including
-//    the grain-cap-1 test mode) reproduces the unsplit results bit for bit.
+//    splitting [0,N) at ANY boundary (a micro-batch's rows, a ParallelFor
+//    chunk) reproduces the unsplit results bit for bit.
 //  * Forward and both backward GEMMs run one register-tiled micro-kernel.
 //    It gives each output element a single fused multiply-add chain over
 //    the ascending reduction index (k forward, n for dA, m for dB),
@@ -167,7 +168,7 @@ void SoftmaxRowForward(const float* row, float* orow, int n);
 /// output row.
 void SoftmaxRowBackward(const float* y, const float* g, float* arow, int n);
 
-// --- Reduction partials (scalar loops, double accumulators) ----------------
+// --- Full reductions (scalar loops, double accumulators) -------------------
 // These are deliberately NOT vectorized: they reproduce, bit for bit, the
 // serial accumulation order of the reference composites (Sum, Sum∘Mul,
 // Sum∘Square) that the fused Mean/WeightedSum/SquaredNorm ops replace.

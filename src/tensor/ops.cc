@@ -18,26 +18,17 @@ namespace {
 // handle would create a shared_ptr cycle and leak the entire upstream graph
 // (see Tensor::SetBackwardFn).
 //
-// Threading: kernels partition work with core::ParallelFor; the vectorized
-// inner loops live in tensor/kernels.cc. Partitions are static and write
-// disjoint output ranges; wherever a gradient element accumulates
-// contributions from several input elements, the partition is chosen so that
-// each accumulator sees its contributions in the same order at any chunk
-// count (see DESIGN.md §9/§14). The kernels are partition-invariant by
-// construction — splitting a range at any boundary reproduces the unsplit
-// results bit for bit — so thread count never changes values outside the
-// chunked reductions (Sum and the fused reductions built on its scheme).
+// Threading: only the GEMMs (MatMul, Dense and their backward) and the
+// micro-batch join fan out, with core::ParallelFor over disjoint output rows;
+// the vectorized inner loops live in tensor/kernels.cc. Elementwise,
+// row-wise and scatter ops and the full reductions are plain loops over the
+// whole range: a taped step of 512 or more rows already runs each
+// micro-batch's ops on its own core (DESIGN.md §9), and smaller shapes are
+// too little work to pay for a dispatch. Every value here is therefore a
+// function of the inputs alone, never of the thread count.
 
 using core::ParallelFor;
-using core::ParallelForChunks;
 
-/// Minimum elementwise operations per chunk before a kernel fans out. With
-/// the SIMD kernels an element costs ~1ns, so a chunk of 131072 elements is
-/// ~100us of work, and the tower-sized elementwise ops of a training step
-/// (batch 1024 x width <= 112) stay single-chunk. The chunked reductions
-/// (Sum, Mean, WeightedSum, SquaredNorm) key their partial buffers on this
-/// grain, so lowering it moves their low bits as well as their speed.
-constexpr std::int64_t kElementwiseGrain = 131072;
 /// Minimum multiply-adds per chunk for matmul-shaped kernels, derived from
 /// the pool's dispatch cost (DESIGN.md §9). A dispatch costs ~1-2us while
 /// the workers are spinning; 2^19 multiply-adds is ~25us of single-thread
@@ -103,15 +94,12 @@ Tensor BinaryOp(const char* op, const Tensor& a, const Tensor& b, Fwd fwd,
   const float* bd = b.data();
   float* od = out.data();
   const int bcols = b.cols();
-  ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  for (int c = 0; c < n; ++c) {
-                    const std::size_t i = static_cast<std::size_t>(r) * n + c;
-                    od[i] = fwd(ad[i], bd[BIndex(kind, static_cast<int>(r), c, bcols)]);
-                  }
-                }
-              });
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < n; ++c) {
+      const std::size_t i = static_cast<std::size_t>(r) * n + c;
+      od[i] = fwd(ad[i], bd[BIndex(kind, r, c, bcols)]);
+    }
+  }
   if (out.requires_grad()) {
     Tensor a_cap = a, b_cap = b;
     Tensor::Impl* self = out.impl();
@@ -123,38 +111,15 @@ Tensor BinaryOp(const char* op, const Tensor& a, const Tensor& b, Fwd fwd,
       float* ag = a_cap.requires_grad() ? a_cap.impl()->EnsureGrad() : nullptr;
       float* bg = b_cap.requires_grad() ? b_cap.impl()->EnsureGrad() : nullptr;
       const int b_cols = b_cap.cols();
-      auto element = [&](int r, int c) {
-        const std::size_t i = static_cast<std::size_t>(r) * n + c;
-        const std::size_t j = BIndex(kind, r, c, b_cols);
-        const float g = og[i];
-        if (ag != nullptr) ag[i] += g * dfda(a_d[i], b_d[j], out_d[i]);
-        if (bg != nullptr) bg[j] += g * dfdb(a_d[i], b_d[j], out_d[i]);
-      };
-      if (bg == nullptr || kind == Broadcast::kSame || kind == Broadcast::kCol) {
-        // b's gradient (if any) is per-element or per-row local: partition
-        // rows; each accumulator stays within one chunk, in serial order.
-        ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-                    [&](std::int64_t r0, std::int64_t r1) {
-                      for (std::int64_t r = r0; r < r1; ++r) {
-                        for (int c = 0; c < n; ++c) element(static_cast<int>(r), c);
-                      }
-                    });
-      } else if (kind == Broadcast::kRow) {
-        // bg[c] sums over rows: partition *columns* so each bg element is
-        // owned by one chunk and accumulates in ascending-row (serial) order.
-        ParallelFor(0, n, RowGrain(kElementwiseGrain, m),
-                    [&](std::int64_t c0, std::int64_t c1) {
-                      for (int r = 0; r < m; ++r) {
-                        for (std::int64_t c = c0; c < c1; ++c) {
-                          element(r, static_cast<int>(c));
-                        }
-                      }
-                    });
-      } else {
-        // Scalar broadcast with a differentiable b: bg[0] accumulates every
-        // element, so keep the exact serial order.
-        for (int r = 0; r < m; ++r) {
-          for (int c = 0; c < n; ++c) element(r, c);
+      // Row-major order: a broadcast b's accumulators take their
+      // contributions in ascending (row, column) order.
+      for (int r = 0; r < m; ++r) {
+        for (int c = 0; c < n; ++c) {
+          const std::size_t i = static_cast<std::size_t>(r) * n + c;
+          const std::size_t j = BIndex(kind, r, c, b_cols);
+          const float g = og[i];
+          if (ag != nullptr) ag[i] += g * dfda(a_d[i], b_d[j], out_d[i]);
+          if (bg != nullptr) bg[j] += g * dfdb(a_d[i], b_d[j], out_d[i]);
         }
       }
     });
@@ -172,9 +137,7 @@ Tensor UnaryOp(const char* op, const Tensor& a, Fwd fwd, DfDx dfdx) {
   const float* ad = a.data();
   float* od = out.data();
   const std::int64_t total = a.size();
-  ParallelFor(0, total, kElementwiseGrain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) od[i] = fwd(ad[i]);
-  });
+  for (std::int64_t i = 0; i < total; ++i) od[i] = fwd(ad[i]);
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
@@ -183,12 +146,9 @@ Tensor UnaryOp(const char* op, const Tensor& a, Fwd fwd, DfDx dfdx) {
       const float* out_d = self->data.data();
       const float* a_d = a_cap.data();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) {
-                      ag[i] += og[i] * dfdx(a_d[i], out_d[i]);
-                    }
-                  });
+      for (std::int64_t i = 0; i < total; ++i) {
+        ag[i] += og[i] * dfdx(a_d[i], out_d[i]);
+      }
     });
   }
   return out;
@@ -210,8 +170,7 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
   const float* ad = a.data();
   float* od = out.data();
   const std::int64_t total = a.size();
-  ParallelFor(0, total, kElementwiseGrain,
-              [&](std::int64_t i0, std::int64_t i1) { fwd(ad, od, i0, i1); });
+  fwd(ad, od, 0, total);
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
@@ -219,10 +178,7 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
       const float* og = self->EnsureGrad();
       const float* src = grad_from_output ? self->data.data() : a_cap.data();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    bwd(src, og, ag, i0, i1);
-                  });
+      bwd(src, og, ag, 0, total);
     });
   }
   return out;
@@ -440,10 +396,7 @@ Tensor Log(const Tensor& a, float eps) {
   const float* ad = a.data();
   float* od = out.data();
   const std::int64_t total = a.size();
-  ParallelFor(0, total, kElementwiseGrain,
-              [&](std::int64_t i0, std::int64_t i1) {
-                kernels::MapLog(ad, od, eps, i0, i1);
-              });
+  kernels::MapLog(ad, od, eps, 0, total);
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
@@ -451,10 +404,7 @@ Tensor Log(const Tensor& a, float eps) {
       const float* og = self->EnsureGrad();
       const float* a_d = a_cap.data();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    kernels::MapLogGrad(a_d, og, ag, eps, i0, i1);
-                  });
+      kernels::MapLogGrad(a_d, og, ag, eps, 0, total);
     });
   }
   return out;
@@ -490,20 +440,17 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   Tensor out = Tensor::MakeNode(m, total_cols, parts, needs_grad);
   out.SetOp("concat_cols");
   float* od = out.data();
-  ParallelFor(0, m, RowGrain(kElementwiseGrain, total_cols),
-              [&](std::int64_t r0, std::int64_t r1) {
-                int offset = 0;
-                for (const Tensor& p : parts) {
-                  const float* pd = p.data();
-                  const int pc = p.cols();
-                  for (std::int64_t r = r0; r < r1; ++r) {
-                    std::copy(pd + static_cast<std::size_t>(r) * pc,
-                              pd + static_cast<std::size_t>(r) * pc + pc,
-                              od + static_cast<std::size_t>(r) * total_cols + offset);
-                  }
-                  offset += pc;
-                }
-              });
+  int col0 = 0;
+  for (const Tensor& p : parts) {
+    const float* pd = p.data();
+    const int pc = p.cols();
+    for (int r = 0; r < m; ++r) {
+      std::copy(pd + static_cast<std::size_t>(r) * pc,
+                pd + static_cast<std::size_t>(r) * pc + pc,
+                od + static_cast<std::size_t>(r) * total_cols + col0);
+    }
+    col0 += pc;
+  }
   if (needs_grad) {
     std::vector<Tensor> parts_cap = parts;
     Tensor::Impl* self = out.impl();
@@ -514,17 +461,12 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
         const int pc = p.cols();
         if (p.requires_grad()) {
           float* pg = p.impl()->EnsureGrad();
-          const int part_offset = offset;
-          ParallelFor(0, m, RowGrain(kElementwiseGrain, pc),
-                      [&](std::int64_t r0, std::int64_t r1) {
-                        for (std::int64_t r = r0; r < r1; ++r) {
-                          const float* src = og +
-                                             static_cast<std::size_t>(r) * total_cols +
-                                             part_offset;
-                          float* dst = pg + static_cast<std::size_t>(r) * pc;
-                          for (int c = 0; c < pc; ++c) dst[c] += src[c];
-                        }
-                      });
+          for (int r = 0; r < m; ++r) {
+            const float* src =
+                og + static_cast<std::size_t>(r) * total_cols + offset;
+            float* dst = pg + static_cast<std::size_t>(r) * pc;
+            for (int c = 0; c < pc; ++c) dst[c] += src[c];
+          }
         }
         offset += pc;
       }
@@ -545,28 +487,22 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
   // A plain loop rather than a std::copy per row: the slices are mostly
   // one column wide (a micro-batch join's fields), where a memmove call per
   // row costs several times the copy.
-  ParallelFor(0, m, RowGrain(kElementwiseGrain, len),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  const float* src = ad + static_cast<std::size_t>(r) * n + start;
-                  float* dst = od + static_cast<std::size_t>(r) * len;
-                  for (int c = 0; c < len; ++c) dst[c] = src[c];
-                }
-              });
+  for (int r = 0; r < m; ++r) {
+    const float* src = ad + static_cast<std::size_t>(r) * n + start;
+    float* dst = od + static_cast<std::size_t>(r) * len;
+    for (int c = 0; c < len; ++c) dst[c] = src[c];
+  }
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, self, m, n, start, len]() mutable {
       const float* og = self->EnsureGrad();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, m, RowGrain(kElementwiseGrain, len),
-                  [&](std::int64_t r0, std::int64_t r1) {
-                    for (std::int64_t r = r0; r < r1; ++r) {
-                      const float* src = og + static_cast<std::size_t>(r) * len;
-                      float* dst = ag + static_cast<std::size_t>(r) * n + start;
-                      for (int c = 0; c < len; ++c) dst[c] += src[c];
-                    }
-                  });
+      for (int r = 0; r < m; ++r) {
+        const float* src = og + static_cast<std::size_t>(r) * len;
+        float* dst = ag + static_cast<std::size_t>(r) * n + start;
+        for (int c = 0; c < len; ++c) dst[c] += src[c];
+      }
     });
   }
   return out;
@@ -653,14 +589,10 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
   out.SetOp("embedding_lookup");
   const float* td = table.data();
   float* od = out.data();
-  ParallelFor(0, b, RowGrain(kElementwiseGrain, d),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  std::copy(td + static_cast<std::size_t>(ids[r]) * d,
-                            td + static_cast<std::size_t>(ids[r]) * d + d,
-                            od + static_cast<std::size_t>(r) * d);
-                }
-              });
+  for (int r = 0; r < b; ++r) {
+    const float* src = td + static_cast<std::size_t>(ids[r]) * d;
+    std::copy(src, src + d, od + static_cast<std::size_t>(r) * d);
+  }
   if (out.requires_grad()) {
     Tensor table_cap = table;
     Tensor::Impl* self = out.impl();
@@ -668,27 +600,13 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
     out.SetBackwardFn([table_cap, self, ids_cap, b, d]() mutable {
       const float* og = self->EnsureGrad();
       float* tg = table_cap.impl()->EnsureGrad();
-      const int vocab = table_cap.rows();
-      // Vocab-range sharding avoids scatter races without per-thread
-      // buffers: each chunk owns table rows [v0, v1) and scans the whole
-      // batch for ids in its range. Every table row thus accumulates its
-      // duplicate-id contributions in ascending batch order — identical to
-      // the serial scatter bit for bit, at any chunk count. The grain prices
-      // chunks by the *useful* scatter work (b * d), not the vocab range, so
-      // small batches stay serial.
-      const std::int64_t scatter_work = static_cast<std::int64_t>(b) * d;
-      const std::int64_t grain_rows = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(vocab) * kElementwiseGrain /
-                 std::max<std::int64_t>(1, scatter_work));
-      ParallelFor(0, vocab, grain_rows, [&](std::int64_t v0, std::int64_t v1) {
-        for (int r = 0; r < b; ++r) {
-          const int id = ids_cap[static_cast<std::size_t>(r)];
-          if (id < v0 || id >= v1) continue;
-          const float* src = og + static_cast<std::size_t>(r) * d;
-          float* dst = tg + static_cast<std::size_t>(id) * d;
-          for (int c = 0; c < d; ++c) dst[c] += src[c];
-        }
-      });
+      // Scatter in ascending batch order: a table row accumulates its
+      // duplicate-id contributions in the order the ids appear.
+      for (int r = 0; r < b; ++r) {
+        const float* src = og + static_cast<std::size_t>(r) * d;
+        float* dst = tg + static_cast<std::size_t>(ids_cap[r]) * d;
+        for (int c = 0; c < d; ++c) dst[c] += src[c];
+      }
     });
   }
   return out;
@@ -720,20 +638,16 @@ Tensor EmbeddingConcat(const std::vector<Tensor>& tables,
   float* od = out.data();
   // Fused gather+concat: each output row is assembled directly from the
   // tables — no per-field intermediate tensors, one pass over the output.
-  ParallelFor(0, b, RowGrain(kElementwiseGrain, total_cols),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  float* dst = od + static_cast<std::size_t>(r) * total_cols;
-                  for (std::size_t f = 0; f < tables.size(); ++f) {
-                    const int d = tables[f].cols();
-                    const float* src =
-                        tables[f].data() +
-                        static_cast<std::size_t>(field_ids[f][r]) * d;
-                    std::copy(src, src + d, dst);
-                    dst += d;
-                  }
-                }
-              });
+  for (int r = 0; r < b; ++r) {
+    float* dst = od + static_cast<std::size_t>(r) * total_cols;
+    for (std::size_t f = 0; f < tables.size(); ++f) {
+      const int d = tables[f].cols();
+      const float* src =
+          tables[f].data() + static_cast<std::size_t>(field_ids[f][r]) * d;
+      std::copy(src, src + d, dst);
+      dst += d;
+    }
+  }
   if (needs_grad) {
     std::vector<Tensor> tables_cap = tables;
     std::vector<std::vector<int>> ids_cap = field_ids;
@@ -746,27 +660,14 @@ Tensor EmbeddingConcat(const std::vector<Tensor>& tables,
         if (tables_cap[f].requires_grad()) {
           float* tg = tables_cap[f].impl()->EnsureGrad();
           const std::vector<int>& ids = ids_cap[f];
-          const int vocab = tables_cap[f].rows();
-          const int col0 = offset;
-          // Same vocab-range-sharded scatter as EmbeddingLookup's backward
-          // (bit-exact at any chunk count), reading this field's column
-          // slice of the fused gradient.
-          const std::int64_t scatter_work = static_cast<std::int64_t>(b) * d;
-          const std::int64_t grain_rows = std::max<std::int64_t>(
-              1, static_cast<std::int64_t>(vocab) * kElementwiseGrain /
-                     std::max<std::int64_t>(1, scatter_work));
-          ParallelFor(0, vocab, grain_rows,
-                      [&](std::int64_t v0, std::int64_t v1) {
-                        for (int r = 0; r < b; ++r) {
-                          const int id = ids[static_cast<std::size_t>(r)];
-                          if (id < v0 || id >= v1) continue;
-                          const float* src =
-                              og + static_cast<std::size_t>(r) * total_cols +
-                              col0;
-                          float* dst = tg + static_cast<std::size_t>(id) * d;
-                          for (int c = 0; c < d; ++c) dst[c] += src[c];
-                        }
-                      });
+          // EmbeddingLookup's ascending-batch-order scatter, reading this
+          // field's column slice of the fused gradient.
+          for (int r = 0; r < b; ++r) {
+            const float* src =
+                og + static_cast<std::size_t>(r) * total_cols + offset;
+            float* dst = tg + static_cast<std::size_t>(ids[r]) * d;
+            for (int c = 0; c < d; ++c) dst[c] += src[c];
+          }
         }
         offset += d;
       }
@@ -780,62 +681,37 @@ Tensor Sum(const Tensor& a) {
   out.SetOp("sum");
   const float* ad = a.data();
   const std::int64_t total = a.size();
-  // Deterministic tree reduction: fixed chunk layout, one double partial per
-  // chunk, merged in chunk order. A single chunk is exactly the serial sum.
-  const int chunks = std::max(1, core::ParallelChunks(total, kElementwiseGrain));
-  std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-  ParallelForChunks(0, total, kElementwiseGrain,
-                    [&](int c, std::int64_t i0, std::int64_t i1) {
-                      partial[static_cast<std::size_t>(c)] =
-                          kernels::ReduceSum(ad, i0, i1);
-                    });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  out.data()[0] = static_cast<float>(acc);
+  // One serial double accumulation over the whole range.
+  out.data()[0] = static_cast<float>(kernels::ReduceSum(ad, 0, total));
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, self, total]() mutable {
       const float g = self->EnsureGrad()[0];
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) ag[i] += g;
-                  });
+      for (std::int64_t i = 0; i < total; ++i) ag[i] += g;
     });
   }
   return out;
 }
 
 Tensor Mean(const Tensor& a) {
-  // Fused Scale(Sum(a), 1/size): same chunked double partials as Sum, the
-  // 1/size factor applied after the float cast — bit-identical to the
-  // two-node composite (ops::reference::Mean) without the intermediate.
+  // Fused Scale(Sum(a), 1/size): Sum's double accumulation, the 1/size
+  // factor applied after the float cast — bit-identical to the two-node
+  // composite (ops::reference::Mean) without the intermediate.
   Tensor out = Tensor::MakeNode(1, 1, {a}, a.requires_grad());
   out.SetOp("mean");
   const float* ad = a.data();
   const std::int64_t total = a.size();
   const float inv = 1.0f / static_cast<float>(total);
-  const int chunks = std::max(1, core::ParallelChunks(total, kElementwiseGrain));
-  std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-  ParallelForChunks(0, total, kElementwiseGrain,
-                    [&](int c, std::int64_t i0, std::int64_t i1) {
-                      partial[static_cast<std::size_t>(c)] =
-                          kernels::ReduceSum(ad, i0, i1);
-                    });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  out.data()[0] = static_cast<float>(acc) * inv;
+  out.data()[0] = static_cast<float>(kernels::ReduceSum(ad, 0, total)) * inv;
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, self, total, inv]() mutable {
       const float g = self->EnsureGrad()[0] * inv;
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) ag[i] += g;
-                  });
+      for (std::int64_t i = 0; i < total; ++i) ag[i] += g;
     });
   }
   return out;
@@ -847,28 +723,22 @@ Tensor SumRows(const Tensor& a) {
   out.SetOp("sum_rows");
   const float* ad = a.data();
   float* od = out.data();
-  ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  float acc = 0.0f;
-                  const float* row = ad + static_cast<std::size_t>(r) * n;
-                  for (int c = 0; c < n; ++c) acc += row[c];
-                  od[r] = acc;
-                }
-              });
+  for (int r = 0; r < m; ++r) {
+    float acc = 0.0f;
+    const float* row = ad + static_cast<std::size_t>(r) * n;
+    for (int c = 0; c < n; ++c) acc += row[c];
+    od[r] = acc;
+  }
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, self, m, n]() mutable {
       const float* og = self->EnsureGrad();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-                  [&](std::int64_t r0, std::int64_t r1) {
-                    for (std::int64_t r = r0; r < r1; ++r) {
-                      float* row = ag + static_cast<std::size_t>(r) * n;
-                      for (int c = 0; c < n; ++c) row[c] += og[r];
-                    }
-                  });
+      for (int r = 0; r < m; ++r) {
+        float* row = ag + static_cast<std::size_t>(r) * n;
+        for (int c = 0; c < n; ++c) row[c] += og[r];
+      }
     });
   }
   return out;
@@ -880,14 +750,10 @@ Tensor SoftmaxRows(const Tensor& a) {
   out.SetOp("softmax_rows");
   const float* ad = a.data();
   float* od = out.data();
-  ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  kernels::SoftmaxRowForward(
-                      ad + static_cast<std::size_t>(r) * n,
-                      od + static_cast<std::size_t>(r) * n, n);
-                }
-              });
+  for (int r = 0; r < m; ++r) {
+    kernels::SoftmaxRowForward(ad + static_cast<std::size_t>(r) * n,
+                               od + static_cast<std::size_t>(r) * n, n);
+  }
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
@@ -895,15 +761,10 @@ Tensor SoftmaxRows(const Tensor& a) {
       const float* og = self->EnsureGrad();
       const float* out_d = self->data.data();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
-                  [&](std::int64_t r0, std::int64_t r1) {
-                    for (std::int64_t r = r0; r < r1; ++r) {
-                      kernels::SoftmaxRowBackward(
-                          out_d + static_cast<std::size_t>(r) * n,
-                          og + static_cast<std::size_t>(r) * n,
-                          ag + static_cast<std::size_t>(r) * n, n);
-                    }
-                  });
+      for (int r = 0; r < m; ++r) {
+        const std::size_t row = static_cast<std::size_t>(r) * n;
+        kernels::SoftmaxRowBackward(out_d + row, og + row, ag + row, n);
+      }
     });
   }
   return out;
@@ -921,10 +782,7 @@ Tensor BceLoss(const Tensor& pred, const Tensor& target, float eps) {
   const float* yd = target.data();
   float* od = out.data();
   const std::int64_t total = pred.size();
-  ParallelFor(0, total, kElementwiseGrain,
-              [&](std::int64_t i0, std::int64_t i1) {
-                kernels::MapBce(pd, yd, od, eps, i0, i1);
-              });
+  kernels::MapBce(pd, yd, od, eps, 0, total);
   if (out.requires_grad()) {
     Tensor pred_cap = pred, target_cap = target;
     Tensor::Impl* self = out.impl();
@@ -934,10 +792,7 @@ Tensor BceLoss(const Tensor& pred, const Tensor& target, float eps) {
       const float* y_d = target_cap.data();
       float* pg = pred_cap.requires_grad() ? pred_cap.impl()->EnsureGrad() : nullptr;
       float* tg = target_cap.requires_grad() ? target_cap.impl()->EnsureGrad() : nullptr;
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    kernels::MapBceGrad(p_d, y_d, og, pg, tg, eps, i0, i1);
-                  });
+      kernels::MapBceGrad(p_d, y_d, og, pg, tg, eps, 0, total);
     });
   }
   return out;
@@ -955,10 +810,7 @@ Tensor SigmoidBce(const Tensor& logits, const Tensor& target) {
   const float* yd = target.data();
   float* od = out.data();
   const std::int64_t total = logits.size();
-  ParallelFor(0, total, kElementwiseGrain,
-              [&](std::int64_t i0, std::int64_t i1) {
-                kernels::MapSigmoidBce(zd, yd, od, i0, i1);
-              });
+  kernels::MapSigmoidBce(zd, yd, od, 0, total);
   if (out.requires_grad()) {
     Tensor z_cap = logits, y_cap = target;
     Tensor::Impl* self = out.impl();
@@ -968,10 +820,7 @@ Tensor SigmoidBce(const Tensor& logits, const Tensor& target) {
       const float* y_d = y_cap.data();
       float* zg = z_cap.requires_grad() ? z_cap.impl()->EnsureGrad() : nullptr;
       float* yg = y_cap.requires_grad() ? y_cap.impl()->EnsureGrad() : nullptr;
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    kernels::MapSigmoidBceGrad(z_d, y_d, og, zg, yg, i0, i1);
-                  });
+      kernels::MapSigmoidBceGrad(z_d, y_d, og, zg, yg, 0, total);
     });
   }
   return out;
@@ -981,24 +830,15 @@ Tensor WeightedSum(const Tensor& a, const Tensor& weights) {
   if (a.rows() != weights.rows() || a.cols() != weights.cols()) {
     Fatal("WeightedSum shape mismatch");
   }
-  // Fused Sum(Mul(a, w)): float products widened into the same chunked
-  // double partial scheme as Sum — bit-identical to the composite
+  // Fused Sum(Mul(a, w)): float products widened into Sum's double
+  // accumulation — bit-identical to the composite
   // (ops::reference::WeightedSum) without materializing the product tensor.
   Tensor out = Tensor::MakeNode(1, 1, {a, weights}, AnyRequiresGrad(a, weights));
   out.SetOp("weighted_sum");
   const float* ad = a.data();
   const float* wd = weights.data();
   const std::int64_t total = a.size();
-  const int chunks = std::max(1, core::ParallelChunks(total, kElementwiseGrain));
-  std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-  ParallelForChunks(0, total, kElementwiseGrain,
-                    [&](int c, std::int64_t i0, std::int64_t i1) {
-                      partial[static_cast<std::size_t>(c)] =
-                          kernels::ReduceDot(ad, wd, i0, i1);
-                    });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  out.data()[0] = static_cast<float>(acc);
+  out.data()[0] = static_cast<float>(kernels::ReduceDot(ad, wd, 0, total));
   if (out.requires_grad()) {
     Tensor a_cap = a, w_cap = weights;
     Tensor::Impl* self = out.impl();
@@ -1008,36 +848,24 @@ Tensor WeightedSum(const Tensor& a, const Tensor& weights) {
       const float* w_d = w_cap.data();
       float* ag = a_cap.requires_grad() ? a_cap.impl()->EnsureGrad() : nullptr;
       float* wg = w_cap.requires_grad() ? w_cap.impl()->EnsureGrad() : nullptr;
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) {
-                      if (ag != nullptr) ag[i] += g * w_d[i];
-                      if (wg != nullptr) wg[i] += g * a_d[i];
-                    }
-                  });
+      for (std::int64_t i = 0; i < total; ++i) {
+        if (ag != nullptr) ag[i] += g * w_d[i];
+        if (wg != nullptr) wg[i] += g * a_d[i];
+      }
     });
   }
   return out;
 }
 
 Tensor SquaredNorm(const Tensor& a) {
-  // Fused Sum(Square(a)): float squares widened into chunked double
-  // partials — bit-identical to the composite (ops::reference::SquaredNorm)
+  // Fused Sum(Square(a)): float squares widened into Sum's double
+  // accumulation — bit-identical to the composite (ops::reference::SquaredNorm)
   // without allocating the squared tensor on the L2-regularization path.
   Tensor out = Tensor::MakeNode(1, 1, {a}, a.requires_grad());
   out.SetOp("squared_norm");
   const float* ad = a.data();
   const std::int64_t total = a.size();
-  const int chunks = std::max(1, core::ParallelChunks(total, kElementwiseGrain));
-  std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-  ParallelForChunks(0, total, kElementwiseGrain,
-                    [&](int c, std::int64_t i0, std::int64_t i1) {
-                      partial[static_cast<std::size_t>(c)] =
-                          kernels::ReduceSquares(ad, i0, i1);
-                    });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  out.data()[0] = static_cast<float>(acc);
+  out.data()[0] = static_cast<float>(kernels::ReduceSquares(ad, 0, total));
   if (out.requires_grad()) {
     Tensor a_cap = a;
     Tensor::Impl* self = out.impl();
@@ -1045,12 +873,7 @@ Tensor SquaredNorm(const Tensor& a) {
       const float g = self->EnsureGrad()[0];
       const float* a_d = a_cap.data();
       float* ag = a_cap.impl()->EnsureGrad();
-      ParallelFor(0, total, kElementwiseGrain,
-                  [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) {
-                      ag[i] += g * (2.0f * a_d[i]);
-                    }
-                  });
+      for (std::int64_t i = 0; i < total; ++i) ag[i] += g * (2.0f * a_d[i]);
     });
   }
   return out;

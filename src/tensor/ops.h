@@ -133,8 +133,8 @@ Tensor SigmoidBce(const Tensor& logits, const Tensor& target);
 /// EmbeddingLookup + ConcatCols without the intermediate per-field tensors.
 /// `field_ids[f]` are row indices into `tables[f]` [V_f x d_f]; output is
 /// [batch x Σ d_f] with field f's embedding at its column offset. Backward
-/// scatter-adds into each table's gradient with the same vocab-range
-/// sharding (and bit-exactness guarantee) as EmbeddingLookup.
+/// scatter-adds into each table's gradient in ascending batch order, like
+/// EmbeddingLookup, so it is bit-identical to the composite.
 Tensor EmbeddingConcat(const std::vector<Tensor>& tables,
                        const std::vector<std::vector<int>>& field_ids);
 

@@ -5,12 +5,14 @@
 //   1. With 1 thread every kernel executes the exact serial loops of the
 //      original scalar engine (verified against hand-rolled references).
 //   2. A fixed thread count is bit-reproducible (self-reproducibility).
-//   3. Disjoint-write kernels (elementwise, matmul, softmax, embedding) are
-//      bit-identical at *any* thread count; only chunked reductions (Sum)
-//      may differ across thread counts, and then only in summation order.
+//   3. Every op is bit-identical at *any* thread count: the GEMMs split
+//      rows whose values do not depend on the split, and the elementwise,
+//      row-wise and scatter ops and the full reductions (Sum, Mean,
+//      WeightedSum, SquaredNorm) are serial loops over the whole range.
 //
 // SetGrainCapForTesting(1) forces multi-chunk partitions on the small
-// tensors used here, so the threaded code paths genuinely execute.
+// tensors used here, so the threaded GEMM and optimizer paths genuinely
+// execute.
 
 // This suite stress-tests the ThreadPool itself; std::atomic provides the
 // independent race-free hit counters.
@@ -65,10 +67,31 @@ class ScopedParallelConfig {
 TEST(ThreadPool, DefaultNumThreadsHonorsEnv) {
   setenv("DCMT_THREADS", "3", /*overwrite=*/1);
   EXPECT_EQ(core::DefaultNumThreads(), 3);
-  setenv("DCMT_THREADS", "not-a-number", 1);
-  EXPECT_GE(core::DefaultNumThreads(), 1);  // falls back to hardware
+  // Empty and 0 mean the hardware default, like an unset variable.
   unsetenv("DCMT_THREADS");
-  EXPECT_GE(core::DefaultNumThreads(), 1);
+  const int hardware = core::DefaultNumThreads();
+  EXPECT_GE(hardware, 1);
+  setenv("DCMT_THREADS", "", 1);
+  EXPECT_EQ(core::DefaultNumThreads(), hardware);
+  setenv("DCMT_THREADS", "0", 1);
+  EXPECT_EQ(core::DefaultNumThreads(), hardware);
+  unsetenv("DCMT_THREADS");
+}
+
+// A malformed DCMT_THREADS aborts instead of picking a width. Each
+// statement only parses the variable, so the child starts no thread.
+TEST(ThreadPoolDeathTest, DefaultNumThreadsRejectsMalformedEnv) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"not-a-number", "4x", "abc", "-2", " 4", "+4",
+                          "99999999999"}) {
+    EXPECT_DEATH(
+        {
+          setenv("DCMT_THREADS", bad, 1);
+          core::DefaultNumThreads();
+        },
+        "DCMT_THREADS must be a non-negative integer, got '.*'")
+        << bad;
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -237,17 +260,47 @@ TEST(ParallelKernels, BceLossThreadCountInvariant) {
   });
 }
 
-// --- chunked reductions: self-reproducible at a fixed thread count --------
+// --- full reductions: the serial bits at any thread count ----------------
 
 TEST(ParallelKernels, SumSelfReproducibleAtFourThreads) {
-  ScopedParallelConfig config(4, 1);
   Rng rng(26);
   Tensor a = Tensor::Randn(41, 13, 1.0f, &rng);
-  const float first = ops::Sum(a).item();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(ops::Sum(a).item(), first);
-  // And the chunked order stays numerically honest vs the serial sum.
   ThreadPool::Global().SetNumThreads(1);
-  EXPECT_NEAR(ops::Sum(a).item(), first, 1e-4f * std::fabs(first) + 1e-5f);
+  const float serial = ops::Sum(a).item();
+  ScopedParallelConfig config(4, 1);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ops::Sum(a).item(), serial);
+}
+
+/// Sum, Mean, WeightedSum and SquaredNorm over 577 x 256 = 147712 elements
+/// (more than one 131072-element chunk) whose float result depends on the
+/// order of accumulation. The two leading terms add up to 2^24 + 1, the
+/// midpoint between two floats. In a serial double sum each tiny term
+/// after them is lost to rounding, so the total stays on the midpoint and
+/// its float cast rounds to even, 2^24. Summed apart from the leading
+/// terms, as a second chunk would, the tail survives and tips the total to
+/// 2^24 + 2.
+std::vector<float> FullReductions() {
+  constexpr int kRows = 577, kCols = 256;
+  Tensor a = Tensor::Full(kRows, kCols, 0x1p-40f);
+  a.data()[0] = 0x1p24f;
+  a.data()[1] = 1.0f;
+  Tensor root = Tensor::Full(kRows, kCols, 0x1p-20f);  // squares to a's terms
+  root.data()[0] = 0x1p12f;
+  root.data()[1] = 1.0f;
+  const Tensor ones = Tensor::Full(kRows, kCols, 1.0f);
+  return {ops::Sum(a).item(), ops::Mean(a).item(),
+          ops::WeightedSum(a, ones).item(), ops::SquaredNorm(root).item()};
+}
+
+TEST(ParallelKernels, FullReductionsMatchSerialBitsAtFourThreads) {
+  ThreadPool::Global().SetNumThreads(1);
+  const std::vector<float> serial = FullReductions();
+  ASSERT_EQ(serial[0], 0x1p24f);
+  ASSERT_EQ(serial[3], 0x1p24f);
+  for (const std::int64_t grain_cap : {0, 1}) {
+    ScopedParallelConfig config(4, grain_cap);
+    EXPECT_EQ(FullReductions(), serial) << "grain cap " << grain_cap;
+  }
 }
 
 // --- gradcheck through the threaded kernel paths --------------------------

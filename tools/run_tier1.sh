@@ -23,110 +23,51 @@ if [[ "${DCMT_SKIP_LINT:-0}" != "1" ]]; then
   "$BUILD_DIR"/tools/dcmt_lint --root=. src tests tools
 fi
 
-# Hardening pass: rebuild the I/O + serialization + checkpoint layer under
-# ASan/UBSan and rerun its tests. Skippable (DCMT_SKIP_SANITIZE=1) because the
+# Sanitizer trees: configure <build>-<name> with -DDCMT_SANITIZE=<kind>,
+# build the given targets (all of them without any) and run ctest there
+# with the remaining arguments.
+#   sanitized_ctest <name> <kind> "<targets>" [ctest args...]
+sanitized_ctest() {
+  local dir="${BUILD_DIR}-$1" kind="$2" targets="$3"
+  shift 3
+  cmake -B "$dir" -S . -DDCMT_SANITIZE="$kind" \
+    -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
+  cmake --build "$dir" -j "$JOBS" ${targets:+--target $targets}
+  TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
+    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "$@"
+}
+
+# Hardening pass: the whole suite again under ASan/UBSan (non-recovering:
+# any report fails its test) — the I/O, checkpoint and shard parsers, the
+# raw-pointer SIMD kernels, the inference arena and the serving and
+# continual layers included. Skippable (DCMT_SKIP_SANITIZE=1) because the
 # instrumented build roughly doubles tier-1 wall time.
 if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-  SAN_DIR="${BUILD_DIR}-asan"
-  cmake -B "$SAN_DIR" -S . \
-    -DDCMT_SANITIZE=address,undefined \
-    -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-  cmake --build "$SAN_DIR" -j "$JOBS" \
-    --target io_test serialize_test checkpoint_test metrics_test
-  ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'Crc32|FileSystem|AtomicWrite|FaultInjection|Serialize|AdamState|Checkpoint|Histogram'
+  sanitized_ctest asan address,undefined ""
+  echo "asan/ubsan stage OK"
 fi
 
-# Race detection: rebuild the concurrency-heavy suites under ThreadSanitizer
-# and run them (the optimizer suites too: the clip norm and Adam fan out
-# over the pool). TSan is incompatible with ASan, so it gets its own tree.
-# Skippable (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
+# Race detection: the concurrency-heavy suites under ThreadSanitizer — the
+# pool stress and determinism suites, obs, the optimizers (the clip norm and
+# Adam fan out over the pool), the serving engine (dispatcher/submitter
+# edges) and the router (hot-swap double buffer, shard caches). TSan is
+# incompatible with ASan, so it gets its own tree. Skippable
+# (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
 if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
-  TSAN_DIR="${BUILD_DIR}-tsan"
-  cmake -B "$TSAN_DIR" -S . \
-    -DDCMT_SANITIZE=thread \
-    -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-  cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target tsan_stress_test parallel_test obs_test optim_test
-  TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam'
+  sanitized_ctest tsan thread \
+    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test" \
+    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing'
+  echo "tsan stage OK"
 fi
 
-# Serving parity + engine stage (DESIGN.md §13): the train/serve bit-exact
-# proof and the micro-batcher's queue protocol are exactly the kind of code
-# that behaves until instrumented, so the serve suites run under BOTH
-# sanitizer trees (heap discipline of the inference arena under ASan/UBSan,
-# dispatcher/submitter edges under TSan). Skippable with DCMT_SKIP_SERVE=1;
-# the suites also run uninstrumented in the plain ctest pass above.
-if [[ "${DCMT_SKIP_SERVE:-0}" != "1" ]]; then
-  if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-    SAN_DIR="${BUILD_DIR}-asan"
-    cmake -B "$SAN_DIR" -S . \
-      -DDCMT_SANITIZE=address,undefined \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$SAN_DIR" -j "$JOBS" --target serve_test
-    ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Serve|InferenceGuard'
-  fi
-  if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
-    TSAN_DIR="${BUILD_DIR}-tsan"
-    cmake -B "$TSAN_DIR" -S . \
-      -DDCMT_SANITIZE=thread \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$TSAN_DIR" -j "$JOBS" --target serve_test
-    TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-      ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Serve|InferenceGuard'
-  fi
-  echo "serve stage OK"
-fi
-
-# Router tier (DESIGN.md §16): the sharded multi-instance router owns the
-# hot-swap double buffer, the consistent-hash embedding caches, and the
-# deadline/overload policy — all lock/atomic code, so its suite runs under
-# BOTH sanitizer trees, and the closed-loop CLI demo (hot swap must be
-# drop-free, the overload burst must shed) runs uninstrumented. Skippable
-# with DCMT_SKIP_ROUTER=1.
+# Router demo (DESIGN.md §16): the closed-loop CLI run — hot swap must be
+# drop-free, the overload burst must shed — uninstrumented; the router
+# suites run in the sanitizer stages above. Skippable with
+# DCMT_SKIP_ROUTER=1.
 if [[ "${DCMT_SKIP_ROUTER:-0}" != "1" ]]; then
-  if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-    SAN_DIR="${BUILD_DIR}-asan"
-    cmake -B "$SAN_DIR" -S . \
-      -DDCMT_SANITIZE=address,undefined \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$SAN_DIR" -j "$JOBS" --target router_test
-    ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Router|ShardCache|ConsistentHashRing'
-  fi
-  if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
-    TSAN_DIR="${BUILD_DIR}-tsan"
-    cmake -B "$TSAN_DIR" -S . \
-      -DDCMT_SANITIZE=thread \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$TSAN_DIR" -j "$JOBS" --target router_test
-    TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-      ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Router|ShardCache|ConsistentHashRing'
-  fi
   "$BUILD_DIR"/tools/dcmt_cli router-bench --requests=800 --clients=3 \
     || { echo "router demo FAILED: drops or unshed overload"; exit 1; }
   echo "router stage OK"
-fi
-
-# Kernel hardening (DESIGN.md §14): the SIMD kernel layer is raw-pointer
-# code with hand-rolled tails, so its correctness suite (fused-vs-unfused
-# equivalence + gradcheck of every fused op at 1 and 4 threads) reruns
-# under ASan/UBSan alongside the tensor/autograd suites that exercise the
-# same kernels through the graph. Skippable with DCMT_SKIP_KERNELS=1.
-if [[ "${DCMT_SKIP_KERNELS:-0}" != "1" && "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-  SAN_DIR="${BUILD_DIR}-asan"
-  cmake -B "$SAN_DIR" -S . \
-    -DDCMT_SANITIZE=address,undefined \
-    -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-  cmake --build "$SAN_DIR" -j "$JOBS" --target kernel_test tensor_test nn_test
-  ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'Kernel|Tensor|OpsForward|OpsBackward|GradCheck|Embedding'
-  echo "kernel stage OK"
 fi
 
 # Observability determinism (DESIGN.md §12): train the same tiny run twice
@@ -165,8 +106,6 @@ fi
 # through the CLI — generate a sharded dataset, train 50 steps through the
 # StreamingBatcher and again through the materialized in-RAM path with the
 # same shard plan, and require the per-step loss traces to be byte-identical.
-# The stream_test suite (shard codec, fault injection, fuzzer) also reruns
-# under ASan/UBSan since it is the repo's newest raw-byte parsing surface.
 # Skippable with DCMT_SKIP_STREAM=1.
 if [[ "${DCMT_SKIP_STREAM:-0}" != "1" ]]; then
   STREAM_DIR="$BUILD_DIR/stream_equivalence"
@@ -188,34 +127,15 @@ if [[ "${DCMT_SKIP_STREAM:-0}" != "1" ]]; then
     || { echo "stream equivalence FAILED: expected 50 recorded steps"; exit 1; }
   cmp "$STREAM_DIR/model1.bin" "$STREAM_DIR/model0.bin" \
     || { echo "stream equivalence FAILED: checkpoints differ"; exit 1; }
-  if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-    SAN_DIR="${BUILD_DIR}-asan"
-    cmake -B "$SAN_DIR" -S . \
-      -DDCMT_SANITIZE=address,undefined \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$SAN_DIR" -j "$JOBS" --target stream_test
-    ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" -R 'StreamTest'
-  fi
   echo "stream stage OK"
 fi
 
 # Continual training (DESIGN.md §17): the delayed-feedback day cycle —
 # logging, as-of re-labelling, warm-started retraining, hot republish. The
-# suite reruns under ASan/UBSan (it drives the checkpoint, shard and router
-# layers together, including the lag=0 bit-exact equivalence miniature), and
-# the CLI runs a 2-day daily-refresh smoke uninstrumented (exits nonzero on
-# any dropped request via the drop-free contract printed by the loop).
+# CLI runs a 2-day daily-refresh smoke uninstrumented (exits nonzero on any
+# dropped request via the drop-free contract printed by the loop).
 # Skippable with DCMT_SKIP_CONTINUAL=1.
 if [[ "${DCMT_SKIP_CONTINUAL:-0}" != "1" ]]; then
-  if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-    SAN_DIR="${BUILD_DIR}-asan"
-    cmake -B "$SAN_DIR" -S . \
-      -DDCMT_SANITIZE=address,undefined \
-      -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-    cmake --build "$SAN_DIR" -j "$JOBS" --target continual_test
-    ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Continual|OnlineAbGolden'
-  fi
   CONT_DIR="$BUILD_DIR/continual_smoke"
   rm -rf "$CONT_DIR"
   "$BUILD_DIR"/tools/dcmt_cli continual --work-dir="$CONT_DIR" \
