@@ -1,7 +1,7 @@
 // Serving-path performance (DESIGN.md §13).
 //
 // Compares the tape-free serving forward (serve::FrozenModel::ScoreBatch,
-// which runs under an InferenceGuard with arena-backed activations) with the
+// which runs under an InferenceGuard and builds no tape) with the
 // taped training Forward on per-row latency for the same rows;
 // tools/run_tier1.sh records the comparison and gates nothing on it. Tape
 // overhead is per *op*, not per row, so the comparison is run at two batch
@@ -54,7 +54,7 @@ void ScoreTaped(benchmark::State& state, int rows) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 
-/// Tape-free serving forward: same model, same rows, no graph, arena reuse.
+/// Tape-free serving forward: same model, same rows, no graph.
 void ScoreFrozen(benchmark::State& state, int rows) {
   core::ThreadPool::Global().SetNumThreads(1);
   auto model = std::make_unique<core::Dcmt>(TestRows().schema(),

@@ -82,17 +82,27 @@ void EncodeSchema(const FeatureSchema& schema, core::PayloadWriter* out) {
   }
 }
 
-bool DecodeSchema(core::PayloadReader* in, FeatureSchema* schema) {
-  const auto decode_fields = [&](std::vector<FieldSpec>* fields) {
+/// On a framing error leaves `*what` empty; on a field whose vocab size is
+/// not positive sets it to "<column>: <what>".
+bool DecodeSchema(core::PayloadReader* in, FeatureSchema* schema,
+                  std::string* what) {
+  const auto decode_fields = [&](const char* kind,
+                                 std::vector<FieldSpec>* fields) {
     std::uint32_t count = 0;
     if (!in->U32(&count) || count > 4096) return false;
     fields->resize(count);
     for (FieldSpec& f : *fields) {
       if (!in->Str(&f.name) || !in->I32(&f.vocab_size)) return false;
+      if (f.vocab_size <= 0) {
+        *what = std::string(kind) + ":" + f.name + ": vocab size " +
+                std::to_string(f.vocab_size) + " is not positive";
+        return false;
+      }
     }
     return true;
   };
-  return decode_fields(&schema->deep_fields) && decode_fields(&schema->wide_fields);
+  return decode_fields("deep", &schema->deep_fields) &&
+         decode_fields("wide", &schema->wide_fields);
 }
 
 }  // namespace
@@ -266,25 +276,43 @@ bool ReadShardFile(core::FileSystem* fs, const std::string& path,
     e.deep_ids.resize(n_deep);
     e.wide_ids.resize(n_wide);
   }
+  // Values are checked as their column is decoded, the way ReadCsv checks
+  // its cells: a CRC only proves the bytes are the ones written, and an
+  // out-of-vocab id or a label outside {0, 1} would abort training later.
+  const auto reject = [&](const std::string& column, std::size_t r,
+                          const std::string& what) {
+    *error = path + ": " + column + ": " + what + " (row " +
+             std::to_string(r) + ")";
+    rows->clear();
+    return false;
+  };
   std::vector<std::int32_t> ids;
-  const auto read_ids = [&]() {
-    return body.I32Vec(&ids) && ids.size() == rows_n;
+  const auto read_ids = [&](const char* kind, const FieldSpec& field,
+                            std::size_t f, std::vector<int> Example::*column) {
+    if (!body.I32Vec(&ids) || ids.size() != rows_n) {
+      *error = path + ": truncated " + kind + " id column";
+      rows->clear();
+      return false;
+    }
+    for (std::size_t r = 0; r < rows_n; ++r) {
+      if (ids[r] < 0 || ids[r] >= field.vocab_size) {
+        return reject(std::string(kind) + ":" + field.name, r,
+                      "id " + std::to_string(ids[r]) + " is outside [0, " +
+                          std::to_string(field.vocab_size) + ")");
+      }
+      ((*rows)[r].*column)[f] = ids[r];
+    }
+    return true;
   };
   for (std::size_t f = 0; f < n_deep; ++f) {
-    if (!read_ids()) {
-      *error = path + ": truncated deep id column";
-      rows->clear();
+    if (!read_ids("deep", manifest.schema.deep_fields[f], f, &Example::deep_ids)) {
       return false;
     }
-    for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].deep_ids[f] = ids[r];
   }
   for (std::size_t f = 0; f < n_wide; ++f) {
-    if (!read_ids()) {
-      *error = path + ": truncated wide id column";
-      rows->clear();
+    if (!read_ids("wide", manifest.schema.wide_fields[f], f, &Example::wide_ids)) {
       return false;
     }
-    for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].wide_ids[f] = ids[r];
   }
   std::vector<std::uint8_t> bytes;
   std::vector<float> floats;
@@ -293,12 +321,28 @@ bool ReadShardFile(core::FileSystem* fs, const std::string& path,
     rows->clear();
     return false;
   };
-  if (!body.U8Vec(&bytes) || bytes.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].click = bytes[r];
-  if (!body.U8Vec(&bytes) || bytes.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].conversion = bytes[r];
-  if (!body.U8Vec(&bytes) || bytes.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].oracle_conversion = bytes[r];
+  // Click decodes before conversion, so the conversion loop can check that
+  // every conversion has its click.
+  const auto read_labels = [&](const char* column, std::uint8_t Example::*label) {
+    if (!body.U8Vec(&bytes) || bytes.size() != rows_n) return fail_body();
+    for (std::size_t r = 0; r < rows_n; ++r) {
+      Example& e = (*rows)[r];
+      if (bytes[r] > 1) {
+        return reject(column, r, "label " + std::to_string(bytes[r]) +
+                                     " is not 0 or 1");
+      }
+      if (label == &Example::conversion && bytes[r] == 1 && e.click == 0) {
+        return reject(column, r, "conversion without a click");
+      }
+      e.*label = bytes[r];
+    }
+    return true;
+  };
+  if (!read_labels("click", &Example::click) ||
+      !read_labels("conversion", &Example::conversion) ||
+      !read_labels("oracle_conversion", &Example::oracle_conversion)) {
+    return false;
+  }
   if (!body.F32Vec(&floats) || floats.size() != rows_n) return fail_body();
   for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].true_ctr = floats[r];
   if (!body.F32Vec(&floats) || floats.size() != rows_n) return fail_body();
@@ -394,10 +438,12 @@ bool ReadManifest(core::FileSystem* fs, const std::string& dir,
   }
 
   core::PayloadReader schema_reader(records[0].payload);
-  if (!DecodeSchema(&schema_reader, &manifest->schema) ||
+  std::string what;
+  if (!DecodeSchema(&schema_reader, &manifest->schema, &what) ||
       !schema_reader.U64(&manifest->schema_fingerprint) ||
       !schema_reader.AtEnd()) {
-    *error = path + ": malformed manifest schema record";
+    *error = path + ": " +
+             (what.empty() ? "malformed manifest schema record" : what);
     return false;
   }
   if (manifest->schema_fingerprint != FingerprintSchema(manifest->schema)) {

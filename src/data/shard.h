@@ -142,10 +142,12 @@ std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
 
 /// Decodes and fully validates one shard file against its manifest entry:
 /// container framing + CRCs, header/footer fingerprints and counts, column
-/// lengths, and the footer/manifest label sums recomputed from the decoded
-/// rows. On any mismatch returns false with `*error` naming the failure and
-/// `*rows` cleared. Thread-safe for concurrent calls when `fs` is (the
-/// default PosixFileSystem is stateless).
+/// lengths, every value (ids inside their field's vocab, labels in {0, 1},
+/// no conversion without a click), and the footer/manifest label sums
+/// recomputed from the decoded rows. On any mismatch returns false with
+/// `*error` naming the failure ("<path>: <column>: <what> (row r)" for a bad
+/// value) and `*rows` cleared. Thread-safe for concurrent calls when `fs` is
+/// (the default PosixFileSystem is stateless).
 bool ReadShardFile(core::FileSystem* fs, const std::string& path,
                    const ShardManifest& manifest, int shard_index,
                    std::vector<Example>* rows, std::string* error);

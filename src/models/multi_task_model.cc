@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "core/thread_pool.h"
-#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dcmt {

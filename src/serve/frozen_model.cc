@@ -6,7 +6,7 @@
 #include "core/registry.h"
 #include "models/common.h"
 #include "nn/serialize.h"
-#include "tensor/inference.h"
+#include "tensor/tensor.h"
 
 namespace dcmt {
 namespace serve {
@@ -99,7 +99,6 @@ ScoreColumns FrozenModel::ScoreBatch(const data::Batch& batch) const {
 ScoreColumns FrozenModel::ScoreExamples(
     const std::vector<data::Example>& examples) const {
   if (examples.empty()) return {};
-  InferenceGuard guard;
   std::vector<std::int64_t> indices(examples.size());
   std::iota(indices.begin(), indices.end(), 0);
   const data::Batch batch = data::MakeBatch(

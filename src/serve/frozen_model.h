@@ -24,12 +24,12 @@ struct ScoreColumns {
 /// An immutable serving snapshot of a zoo model (DESIGN.md §13).
 ///
 /// Scoring runs the model's own Forward under an InferenceGuard, so the
-/// serving path executes the exact training kernels — tape-free and
-/// arena-backed, but arithmetically the same code. Because every forward op
-/// computes each output row independently with a fixed inner loop order,
-/// scores are bit-identical to the taped Forward at any thread count and
-/// under any micro-batch composition; the parity suite (serve_test,
-/// models_test) asserts this for all 13 zoo variants.
+/// serving path executes the exact training kernels — tape-free, but
+/// arithmetically the same code. Because every forward op computes each
+/// output row independently with a fixed inner loop order, scores are
+/// bit-identical to the taped Forward at any thread count and under any
+/// micro-batch composition; the parity suite (serve_test, models_test)
+/// asserts this for all 13 zoo variants.
 ///
 /// FrozenModel is immutable after construction and therefore safe to score
 /// from multiple threads *sequentially per call site*. With the pool wider
@@ -64,8 +64,7 @@ class FrozenModel {
   ScoreColumns ScoreBatch(const data::Batch& batch) const;
 
   /// Convenience: assembles a batch from `examples` (labels ignored) and
-  /// scores it. Batch assembly also runs under the guard, so label tensors
-  /// draw from the arena too.
+  /// scores it.
   ScoreColumns ScoreExamples(const std::vector<data::Example>& examples) const;
 
   const data::FeatureSchema& schema() const { return schema_; }

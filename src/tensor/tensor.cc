@@ -13,7 +13,6 @@
 
 #include "core/obs.h"
 #include "core/thread_pool.h"
-#include "tensor/inference.h"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -45,6 +44,9 @@ namespace {
 // The leaf-gradient sink installed on this thread by GradSink::Scope.
 thread_local GradSink* tls_grad_sink = nullptr;
 
+// Nesting depth of the InferenceGuards alive on this thread.
+thread_local int tls_guard_depth = 0;
+
 /// Elements per chunk of GradSink::Reduce, over all leaves laid end to end.
 /// An element costs K + 1 loads and K adds, so a chunk of 16384 is ~10 us:
 /// the ~80k parameters of a DCMT step split four ways in one dispatch.
@@ -61,17 +63,10 @@ std::shared_ptr<Tensor::Impl> NewImpl(int rows, int cols, bool requires_grad) {
   auto impl = std::make_shared<Tensor::Impl>();
   impl->rows = rows;
   impl->cols = cols;
-  // Inference mode (DESIGN.md §13): activations are pure values drawn from
-  // the per-thread arena, and nothing created under the guard may join an
-  // autograd graph.
-  if (InferenceGuard::Active()) {
-    impl->data = inference::AcquireBuffer(static_cast<std::size_t>(rows) * cols);
-    impl->pooled = true;
-    impl->requires_grad = false;
-  } else {
-    impl->data.assign(static_cast<std::size_t>(rows) * cols, 0.0f);
-    impl->requires_grad = requires_grad;
-  }
+  impl->data.assign(static_cast<std::size_t>(rows) * cols, 0.0f);
+  // Inference mode (DESIGN.md §13): nothing created under the guard may join
+  // an autograd graph.
+  impl->requires_grad = requires_grad && !InferenceGuard::Active();
   return impl;
 }
 
@@ -81,8 +76,11 @@ Tensor::Impl::~Impl() {
   if (counted_graph_node) {
     g_live_graph_nodes.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (pooled) inference::ReleaseBuffer(std::move(data));
 }
+
+InferenceGuard::InferenceGuard() { ++tls_guard_depth; }
+InferenceGuard::~InferenceGuard() { --tls_guard_depth; }
+bool InferenceGuard::Active() { return tls_guard_depth > 0; }
 
 float* Tensor::Impl::EnsureGrad() {
   if (tls_grad_sink != nullptr && parents.empty() && !backward_fn) {
@@ -388,8 +386,6 @@ Tensor Tensor::Detach() const {
   impl->requires_grad = false;
   return Tensor(std::move(impl));
 }
-
-Tensor Tensor::Clone() const { return Detach(); }
 
 const std::string& Tensor::name() const {
   static const std::string kEmpty;

@@ -115,9 +115,6 @@ class Tensor {
   /// gradients do not flow through the result.
   Tensor Detach() const;
 
-  /// Deep copy of values only (new leaf, no graph history).
-  Tensor Clone() const;
-
   /// Identity used for graph bookkeeping and debugging.
   const void* id() const { return impl_.get(); }
 
@@ -163,16 +160,13 @@ class Tensor {
 /// Storage + graph node behind a Tensor handle. Public so that ops.cc (and
 /// only it, by convention) can build backward closures against raw pointers.
 struct Tensor::Impl {
-  ~Impl();  // returns pooled storage / updates the live-graph-node count
+  ~Impl();  // updates the live-graph-node count
 
   int rows = 0;
   int cols = 0;
   std::vector<float> data;
   std::vector<float> grad;  // lazily allocated
   bool requires_grad = false;
-  /// Storage came from the per-thread inference arena (tensor.cc returns it
-  /// there on destruction when an InferenceGuard is active).
-  bool pooled = false;
   /// This node holds parent edges and is counted by LiveGraphNodesForTesting.
   bool counted_graph_node = false;
   std::string name;
@@ -196,6 +190,29 @@ struct Tensor::Impl {
   /// GradSink is installed on the calling thread, this is the sink's private
   /// buffer for the leaf instead.
   float* EnsureGrad();
+};
+
+/// Scoped inference mode for the tensor engine (DESIGN.md §13).
+///
+/// While a guard is alive on a thread, every tensor the thread creates is a
+/// pure value: requires_grad is forced off, MakeNode stores no parent edges,
+/// and — because every op in ops.cc gates its backward closure on
+/// out.requires_grad() — no backward closures are captured. Forward values
+/// are bit-identical to the taped path (the kernels never read graph state),
+/// which is the serving parity contract serve::FrozenModel is built on.
+///
+/// Guards nest (a guarded region may call a helper that takes its own
+/// guard) and are strictly per-thread: concurrent training on other threads
+/// keeps building tapes untouched.
+class InferenceGuard {
+ public:
+  InferenceGuard();
+  ~InferenceGuard();
+  InferenceGuard(const InferenceGuard&) = delete;
+  InferenceGuard& operator=(const InferenceGuard&) = delete;
+
+  /// True while any InferenceGuard is alive on the calling thread.
+  static bool Active();
 };
 
 /// Private leaf gradients of one micro-batch's backward pass (DESIGN.md §9).

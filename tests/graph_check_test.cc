@@ -14,7 +14,6 @@
 #include "nn/graph_check.h"
 #include "serve/frozen_model.h"
 #include "tensor/gradcheck.h"
-#include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 

@@ -6,7 +6,6 @@
 // profiler in Tensor::Backward.
 
 #include <limits>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -240,14 +239,16 @@ data::DatasetProfile ObsProfile() {
 /// timing-derived metrics, which by convention are the only names containing
 /// "seconds" or "per_second" (same filter tier-1 uses, see run_tier1.sh).
 std::string DropTimingMetrics(const std::string& text) {
-  static const std::regex timing("(seconds|per_second)");
   std::string kept;
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
     const std::string line = text.substr(start, end - start);
-    if (!std::regex_search(line, timing)) kept += line + "\n";
+    if (line.find("seconds") == std::string::npos &&
+        line.find("per_second") == std::string::npos) {
+      kept += line + "\n";
+    }
     start = end + 1;
   }
   return kept;
@@ -256,8 +257,17 @@ std::string DropTimingMetrics(const std::string& text) {
 /// Zeroes the wall-clock fields of a trace export (the sed filter tier-1
 /// applies, in-process).
 std::string ZeroTraceTimestamps(const std::string& json) {
-  static const std::regex ts("\"(ts|dur)_ns\":[0-9]+");
-  return std::regex_replace(json, ts, "\"$1_ns\":0");
+  std::string out = json;
+  for (const std::string key : {"\"ts_ns\":", "\"dur_ns\":"}) {
+    for (std::size_t at = out.find(key); at != std::string::npos;
+         at = out.find(key, at + 1)) {
+      const std::size_t digits = at + key.size();
+      std::size_t end = digits;
+      while (end < out.size() && out[end] >= '0' && out[end] <= '9') ++end;
+      if (end > digits) out.replace(digits, end - digits, "0");
+    }
+  }
+  return out;
 }
 
 struct ObsRunExports {

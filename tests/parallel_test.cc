@@ -12,7 +12,9 @@
 //
 // SetGrainCapForTesting(1) forces multi-chunk partitions on the small
 // tensors used here, so the threaded GEMM and optimizer paths genuinely
-// execute.
+// execute; every thread-count and gradient check of an elementwise,
+// row-wise or scatter op runs it beside a GEMM and asserts that the
+// 4-thread arm dispatched to the pool.
 
 // This suite stress-tests the ThreadPool itself; std::atomic provides the
 // independent race-free hit counters.
@@ -169,8 +171,23 @@ TEST(ParallelKernels, SingleThreadSumMatchesSerialReference) {
 
 // --- disjoint-write kernels: bit-identical across thread counts -----------
 
+/// Runs fn and returns how many ParallelFor calls fanned out to the pool
+/// meanwhile (the dcmt_pool_dispatch_total counter, recorded while obs is on).
+std::int64_t CountPoolDispatches(const std::function<void()>& fn) {
+  const obs::Counter dispatches =
+      obs::Registry::Global().counter("dcmt_pool_dispatch_total");
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const std::int64_t before = dispatches.value();
+  fn();
+  const std::int64_t count = dispatches.value() - before;
+  obs::SetEnabled(obs_was_enabled);
+  return count;
+}
+
 /// Runs fn at 1 thread and at 4 threads (grain cap 1) and asserts the
-/// returned float vectors are bit-identical.
+/// returned float vectors are bit-identical. Only the GEMMs fan out, so fn
+/// must run one; the 4-thread arm must reach the pool.
 void ExpectThreadCountInvariant(
     const std::function<std::vector<float>()>& fn) {
   ThreadPool::Global().SetNumThreads(1);
@@ -178,7 +195,8 @@ void ExpectThreadCountInvariant(
   std::vector<float> threaded;
   {
     ScopedParallelConfig config(4, 1);
-    threaded = fn();
+    EXPECT_GT(CountPoolDispatches([&] { threaded = fn(); }), 0)
+        << "the 4-thread arm ran serial code only";
   }
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -202,20 +220,26 @@ TEST(ParallelKernels, MatMulForwardAndBackwardThreadCountInvariant) {
   });
 }
 
+// Each graph below feeds its op from, or into, a GEMM that the grain-cap-1
+// arm splits by rows, so the op reads inputs and gradients that threads wrote.
+
 TEST(ParallelKernels, ElementwiseThreadCountInvariant) {
   ExpectThreadCountInvariant([] {
     Rng rng(22);
-    Tensor a = Tensor::Randn(17, 7, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor x = Tensor::Randn(17, 5, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor w = Tensor::Randn(5, 7, 0.5f, &rng, /*requires_grad=*/true);
     Tensor b = Tensor::Randn(17, 7, 1.0f, &rng, /*requires_grad=*/true);
     Tensor row = Tensor::Randn(1, 7, 1.0f, &rng, /*requires_grad=*/true);
     Tensor col = Tensor::Randn(17, 1, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor a = ops::MatMul(x, w);
     Tensor y = ops::Mul(ops::Add(ops::Tanh(a), b), ops::Sigmoid(a));
-    y = ops::Add(y, row);  // row broadcast: column-parallel backward
-    y = ops::Mul(y, col);  // col broadcast: row-parallel backward
+    y = ops::Add(y, row);  // row broadcast
+    y = ops::Mul(y, col);  // column broadcast
     Tensor loss = ops::Sum(y);
     loss.Backward();
     std::vector<float> all(y.data(), y.data() + y.size());
-    all.insert(all.end(), a.grad(), a.grad() + a.size());
+    all.insert(all.end(), x.grad(), x.grad() + x.size());
+    all.insert(all.end(), w.grad(), w.grad() + w.size());
     all.insert(all.end(), b.grad(), b.grad() + b.size());
     all.insert(all.end(), row.grad(), row.grad() + row.size());
     all.insert(all.end(), col.grad(), col.grad() + col.size());
@@ -226,12 +250,14 @@ TEST(ParallelKernels, ElementwiseThreadCountInvariant) {
 TEST(ParallelKernels, SoftmaxRowsThreadCountInvariant) {
   ExpectThreadCountInvariant([] {
     Rng rng(23);
-    Tensor a = Tensor::Randn(19, 8, 2.0f, &rng, /*requires_grad=*/true);
-    Tensor y = ops::SoftmaxRows(a);
+    Tensor x = Tensor::Randn(19, 6, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor w = Tensor::Randn(6, 8, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor y = ops::SoftmaxRows(ops::MatMul(x, w));
     Tensor loss = ops::Sum(ops::Mul(y, y));
     loss.Backward();
     std::vector<float> all(y.data(), y.data() + y.size());
-    all.insert(all.end(), a.grad(), a.grad() + a.size());
+    all.insert(all.end(), x.grad(), x.grad() + x.size());
+    all.insert(all.end(), w.grad(), w.grad() + w.size());
     return all;
   });
 }
@@ -240,23 +266,34 @@ TEST(ParallelKernels, EmbeddingScatterWithDuplicateIdsThreadCountInvariant) {
   ExpectThreadCountInvariant([] {
     Rng rng(24);
     Tensor table = Tensor::Randn(11, 5, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor w = Tensor::Randn(5, 4, 1.0f, &rng, /*requires_grad=*/true);
     // Heavy duplication: the scatter-merge order is what is under test.
     const std::vector<int> ids = {3, 3, 3, 0, 10, 3, 7, 0, 10, 10, 3, 5};
-    Tensor loss = ops::Sum(ops::Square(ops::EmbeddingLookup(table, ids)));
+    Tensor loss = ops::Sum(
+        ops::Square(ops::MatMul(ops::EmbeddingLookup(table, ids), w)));
     loss.Backward();
-    return std::vector<float>(table.grad(), table.grad() + table.size());
+    std::vector<float> all(table.grad(), table.grad() + table.size());
+    all.insert(all.end(), w.grad(), w.grad() + w.size());
+    return all;
   });
 }
 
 TEST(ParallelKernels, BceLossThreadCountInvariant) {
   ExpectThreadCountInvariant([] {
     Rng rng(25);
-    Tensor logits = Tensor::Randn(37, 3, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor x = Tensor::Randn(37, 4, 1.0f, &rng, /*requires_grad=*/true);
+    Tensor w = Tensor::Randn(4, 3, 0.5f, &rng, /*requires_grad=*/true);
+    Tensor bias = Tensor::Randn(1, 3, 0.5f, &rng, /*requires_grad=*/true);
     Tensor labels = Tensor::Zeros(37, 3);
     for (int i = 0; i < 37 * 3; i += 2) labels.data()[i] = 1.0f;
+    Tensor logits = ops::Dense(x, w, bias, /*relu=*/false);
     Tensor loss = ops::Sum(ops::BceLoss(ops::Sigmoid(logits), labels));
     loss.Backward();
-    return std::vector<float>(logits.grad(), logits.grad() + logits.size());
+    std::vector<float> all(logits.data(), logits.data() + logits.size());
+    all.insert(all.end(), x.grad(), x.grad() + x.size());
+    all.insert(all.end(), w.grad(), w.grad() + w.size());
+    all.insert(all.end(), bias.grad(), bias.grad() + bias.size());
+    return all;
   });
 }
 
@@ -305,52 +342,64 @@ TEST(ParallelKernels, FullReductionsMatchSerialBitsAtFourThreads) {
 
 // --- gradcheck through the threaded kernel paths --------------------------
 
-TEST(ParallelGradCheck, MatMul) {
+/// Gradient-checks `loss` against `inputs` at 4 threads with grain cap 1 and
+/// asserts the check reached the pool (each loss runs a GEMM).
+void ExpectThreadedGradCheck(const std::function<Tensor()>& loss,
+                             const std::vector<Tensor>& inputs) {
   ScopedParallelConfig config(4, 1);
+  GradCheckResult r;
+  EXPECT_GT(CountPoolDispatches([&] { r = CheckGradients(loss, inputs); }), 0)
+      << "the gradient check ran serial code only";
+  EXPECT_TRUE(r.ok) << r.worst;
+}
+
+TEST(ParallelGradCheck, MatMul) {
   Rng rng(31);
   Tensor a = Tensor::Randn(6, 4, 0.5f, &rng, /*requires_grad=*/true);
   Tensor b = Tensor::Randn(4, 5, 0.5f, &rng, /*requires_grad=*/true);
-  auto loss = [&]() { return ops::Sum(ops::Square(ops::MatMul(a, b))); };
-  const GradCheckResult r = CheckGradients(loss, {a, b});
-  EXPECT_TRUE(r.ok) << r.worst;
+  ExpectThreadedGradCheck(
+      [&]() { return ops::Sum(ops::Square(ops::MatMul(a, b))); }, {a, b});
 }
 
 TEST(ParallelGradCheck, SoftmaxRows) {
-  ScopedParallelConfig config(4, 1);
   Rng rng(32);
-  Tensor a = Tensor::Randn(5, 6, 1.0f, &rng, /*requires_grad=*/true);
-  auto loss = [&]() {
-    Tensor y = ops::SoftmaxRows(a);
-    return ops::Sum(ops::Mul(y, y));
-  };
-  const GradCheckResult r = CheckGradients(loss, {a});
-  EXPECT_TRUE(r.ok) << r.worst;
+  Tensor x = Tensor::Randn(5, 4, 0.5f, &rng, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(4, 6, 0.5f, &rng, /*requires_grad=*/true);
+  ExpectThreadedGradCheck(
+      [&]() {
+        Tensor y = ops::SoftmaxRows(ops::MatMul(x, w));
+        return ops::Sum(ops::Mul(y, y));
+      },
+      {x, w});
 }
 
 TEST(ParallelGradCheck, EmbeddingLookupWithDuplicateIds) {
-  ScopedParallelConfig config(4, 1);
   Rng rng(33);
   Tensor table = Tensor::Randn(7, 3, 0.5f, &rng, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(3, 4, 0.5f, &rng, /*requires_grad=*/true);
   const std::vector<int> ids = {1, 4, 1, 6, 1, 0, 4};
-  auto loss = [&]() {
-    return ops::Sum(ops::Square(ops::EmbeddingLookup(table, ids)));
-  };
-  const GradCheckResult r = CheckGradients(loss, {table});
-  EXPECT_TRUE(r.ok) << r.worst;
+  ExpectThreadedGradCheck(
+      [&]() {
+        return ops::Sum(
+            ops::Square(ops::MatMul(ops::EmbeddingLookup(table, ids), w)));
+      },
+      {table, w});
 }
 
 TEST(ParallelGradCheck, BceLossDifferentiableTarget) {
-  ScopedParallelConfig config(4, 1);
   Rng rng(34);
   // Both pred and target require grad — the satellite fix under test.
-  Tensor plogit = Tensor::Randn(6, 2, 0.5f, &rng, /*requires_grad=*/true);
+  Tensor x = Tensor::Randn(6, 3, 0.5f, &rng, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(3, 2, 0.5f, &rng, /*requires_grad=*/true);
+  Tensor bias = Tensor::Randn(1, 2, 0.5f, &rng, /*requires_grad=*/true);
   Tensor tlogit = Tensor::Randn(6, 2, 0.5f, &rng, /*requires_grad=*/true);
-  auto loss = [&]() {
-    return ops::Sum(
-        ops::BceLoss(ops::Sigmoid(plogit), ops::Sigmoid(tlogit), 1e-4f));
-  };
-  const GradCheckResult r = CheckGradients(loss, {plogit, tlogit});
-  EXPECT_TRUE(r.ok) << r.worst;
+  ExpectThreadedGradCheck(
+      [&]() {
+        Tensor plogit = ops::Dense(x, w, bias, /*relu=*/false);
+        return ops::Sum(
+            ops::BceLoss(ops::Sigmoid(plogit), ops::Sigmoid(tlogit), 1e-4f));
+      },
+      {x, w, bias, tlogit});
 }
 
 TEST(BceLossContract, TargetOnlyGradFlows) {
@@ -443,17 +492,10 @@ EpochRun TrainDcmtEpochAtThreads(int threads) {
                       "_" + std::to_string(threads);
 
   EpochRun run;
-  const obs::Counter dispatches =
-      obs::Registry::Global().counter("dcmt_pool_dispatch_total");
-  const bool obs_was_enabled = obs::Enabled();
-  obs::SetEnabled(true);
-  const std::int64_t dispatches_before = dispatches.value();
-  {
+  run.pool_dispatches = CountPoolDispatches([&] {
     ScopedParallelConfig config(threads, /*grain_cap=*/0);
     run.step_loss = eval::Train(&model, train, tc).step_loss;
-  }
-  run.pool_dispatches = dispatches.value() - dispatches_before;
-  obs::SetEnabled(obs_was_enabled);
+  });
   for (const Tensor& p : model.parameters()) {
     run.params.insert(run.params.end(), p.data(), p.data() + p.size());
   }

@@ -1,7 +1,7 @@
 // Tests for the tape-free serving stack (DESIGN.md §13): train/serve parity
 // through a checkpoint round-trip for every zoo variant (bit-exact at one
 // and at several threads), the micro-batching engine's work-conserving
-// dispatch, drain and admission behaviour, the inference arena, and
+// dispatch, drain and admission behaviour, the inference guard, and
 // FrozenModel::Load validation.
 
 // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
@@ -32,7 +32,6 @@
 #include "optim/adam.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
-#include "tensor/inference.h"
 #include "tensor/tensor.h"
 
 namespace dcmt {
@@ -230,29 +229,13 @@ TEST_F(ServeTest, ScoreExamplesMatchesScoreBatch) {
   EXPECT_EQ(via_examples.pctcvr, via_batch.pctcvr);
 }
 
-// --- Inference guard + arena. ----------------------------------------------
+// --- Inference guard. -----------------------------------------------------
 
 TEST_F(ServeTest, ScoringBuildsNoGraphAndLeavesNoLiveNodes) {
   const std::int64_t before = Tensor::LiveGraphNodesForTesting();
   const serve::ScoreColumns scores = Frozen().ScoreBatch(batch_);
   EXPECT_EQ(Tensor::LiveGraphNodesForTesting(), before);
   EXPECT_EQ(scores.pctcvr.size(), 64u);
-}
-
-TEST_F(ServeTest, ArenaRecyclesActivationBuffersAcrossBatches) {
-  core::ThreadPool::Global().SetNumThreads(1);  // keep kernels on this thread
-  inference::ClearThreadArena();
-  const serve::FrozenModel frozen = Frozen();
-  frozen.ScoreBatch(batch_);
-  const inference::ArenaStats first = inference::ThreadArenaStats();
-  EXPECT_GT(first.acquires, 0);
-  EXPECT_GT(first.pooled_buffers, 0);  // activations were pooled on release
-  frozen.ScoreBatch(batch_);
-  const inference::ArenaStats second = inference::ThreadArenaStats();
-  // The second identical batch reuses the first batch's pooled activations.
-  EXPECT_GT(second.reuses, first.reuses);
-  inference::ClearThreadArena();
-  EXPECT_EQ(inference::ThreadArenaStats().pooled_buffers, 0);
 }
 
 TEST(InferenceGuardTest, ForcesValueOnlyTensorsWhileActive) {

@@ -9,7 +9,9 @@
 //     bit-exactly (including crash-on-stream / resume-in-RAM);
 //   * fail-closed reading — torn shard writes, in-flight byte flips,
 //     truncation, and a byte-flip fuzzer over every offset of a shard and
-//     its manifest: corruption is always rejected, never decoded.
+//     its manifest: corruption is always rejected, never decoded; and
+//     shards with valid CRCs whose ids or labels are out of contract are
+//     rejected with "<path>: <column>: <what>".
 //
 // FaultInjectingFileSystem is not thread-safe, so every test that injects
 // faults runs with prefetch_depth = 0 (no prefetch thread at all).
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 // dcmt-lint: allow(concurrency) — a real producer thread for the channel.
 #include <thread>
@@ -635,6 +638,164 @@ TEST(StreamTest, ByteFlipFuzzerEveryOffsetRejectedShardAndManifest) {
         << "flip at manifest byte " << i << " decoded anyway";
   }
   WriteFileOrDie(manifest_path, manifest_image);
+}
+
+// ---------------------------------------------------------------------------
+// Value checks: shards whose CRCs, header and footer sums are all valid but
+// whose values could not have come from a well-formed log
+// ---------------------------------------------------------------------------
+
+/// One out-of-contract edit of a decoded shard; `column` and `what` are the
+/// parts of "<path>: <column>: <what>" the rejection must carry. Label edits
+/// move a 1 from one row to another so every label sum, and so the footer and
+/// the manifest, still agree.
+struct BadValueCase {
+  const char* name;
+  std::string column;
+  const char* what;
+  std::function<void(std::vector<data::Example>*)> mutate;
+};
+
+/// Index of the first row at or after `from` matching `pred`.
+std::size_t FindRow(const std::vector<data::Example>& rows, std::size_t from,
+                    const std::function<bool(const data::Example&)>& pred) {
+  for (std::size_t r = from; r < rows.size(); ++r) {
+    if (pred(rows[r])) return r;
+  }
+  ADD_FAILURE() << "no row matches";
+  return 0;
+}
+
+std::vector<BadValueCase> BadValueCases(const data::FeatureSchema& schema) {
+  const data::FieldSpec& deep = schema.deep_fields.back();
+  const data::FieldSpec& wide = schema.wide_fields.front();
+  const auto click_no_conversion = [](const data::Example& e) {
+    return e.click == 1 && e.conversion == 0;
+  };
+  return {
+      {"deep id past vocab", "deep:" + deep.name, "id 1048576 is outside",
+       [](std::vector<data::Example>* rows) {
+         (*rows)[3].deep_ids.back() = 1 << 20;
+       }},
+      {"negative wide id", "wide:" + wide.name, "id -1 is outside",
+       [](std::vector<data::Example>* rows) {
+         (*rows)[5].wide_ids.front() = -1;
+       }},
+      {"click byte 2", "click", "label 2 is not 0 or 1",
+       [=](std::vector<data::Example>* rows) {
+         const std::size_t a = FindRow(*rows, 0, click_no_conversion);
+         const std::size_t b = FindRow(*rows, a + 1, click_no_conversion);
+         (*rows)[a].click = 2;
+         (*rows)[b].click = 0;
+       }},
+      {"conversion without click", "conversion", "conversion without a click",
+       [](std::vector<data::Example>* rows) {
+         const std::size_t a = FindRow(*rows, 0, [](const data::Example& e) {
+           return e.click == 0;
+         });
+         const std::size_t b = FindRow(*rows, 0, [](const data::Example& e) {
+           return e.conversion == 1;
+         });
+         (*rows)[a].conversion = 1;
+         (*rows)[b].conversion = 0;
+       }},
+      {"oracle byte 2", "oracle_conversion", "label 2 is not 0 or 1",
+       [](std::vector<data::Example>* rows) {
+         const auto oracle = [](const data::Example& e) {
+           return e.oracle_conversion == 1;
+         };
+         const std::size_t a = FindRow(*rows, 0, oracle);
+         const std::size_t b = FindRow(*rows, a + 1, oracle);
+         (*rows)[a].oracle_conversion = 2;
+         (*rows)[b].oracle_conversion = 0;
+       }},
+  };
+}
+
+TEST(StreamTest, ValidCrcShardWithBadValueIsRejected) {
+  const std::string dir = GenShardsOrDie("bad_value", 1000, 192);
+  const std::string victim = dir + "/" + data::ShardFileName(1);
+  const std::string original = ReadFileOrDie(victim);
+  const data::StreamingDataset dataset = OpenOrDie(dir);
+  std::vector<data::Example> clean;
+  std::string error;
+  ASSERT_TRUE(dataset.ReadShard(1, &clean, &error)) << error;
+
+  for (const BadValueCase& c : BadValueCases(dataset.schema())) {
+    SCOPED_TRACE(c.name);
+    std::vector<data::Example> rows = clean;
+    c.mutate(&rows);
+    WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
+    const std::string want = victim + ": " + c.column + ": " + c.what;
+
+    std::vector<data::Example> decoded;
+    EXPECT_FALSE(data::ReadShardFile(nullptr, victim, dataset.manifest(), 1,
+                                     &decoded, &error));
+    EXPECT_EQ(error.rfind(want, 0), 0u) << error;
+    EXPECT_TRUE(decoded.empty());
+
+    for (const int depth : {0, 2}) {
+      Rng rng(13);
+      data::StreamingBatcher batcher(&dataset, 64, &rng, depth);
+      data::Batch batch;
+      while (batcher.Next(&batch)) {
+      }
+      EXPECT_FALSE(batcher.ok()) << "prefetch depth " << depth;
+      EXPECT_EQ(batcher.error().rfind(want, 0), 0u) << batcher.error();
+    }
+
+    data::Dataset materialized;
+    EXPECT_FALSE(dataset.Materialize(&materialized, &error));
+    EXPECT_EQ(error.rfind(want, 0), 0u) << error;
+  }
+  WriteFileOrDie(victim, original);
+  EXPECT_TRUE(dataset.ReadShard(1, &clean, &error)) << error;
+}
+
+TEST(StreamTest, TrainerAbortNamesTheBadShard) {
+  const std::string dir = GenShardsOrDie("bad_value_train", 600, 192);
+  const std::string victim = dir + "/" + data::ShardFileName(1);
+  const data::StreamingDataset dataset = OpenOrDie(dir);
+  std::vector<data::Example> rows;
+  std::string error;
+  ASSERT_TRUE(dataset.ReadShard(1, &rows, &error)) << error;
+  rows[3].deep_ids.back() = 1 << 20;
+  WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
+
+  // Fails closed in the trainer's batch-source check, naming the shard,
+  // before the bad id reaches an embedding lookup.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::ThreadPool::Global().SetNumThreads(1);
+  EXPECT_DEATH(
+      {
+        core::Dcmt model(dataset.schema(), SmallModelConfig());
+        Rng rng(StreamTrainConfig().seed);
+        data::StreamingBatcher batcher(&dataset, 96, &rng, 0);
+        eval::TrainFromSource(&model, &batcher, &rng, StreamTrainConfig());
+      },
+      "batch source failed: .*" + data::ShardFileName(1) + ": deep:");
+}
+
+TEST(StreamTest, ManifestWithNonPositiveVocabIsRejected) {
+  const std::string dir = GenShardsOrDie("bad_vocab", 400, 192);
+  data::ShardManifest manifest;
+  std::string error;
+  ASSERT_TRUE(data::ReadManifest(nullptr, dir, &manifest, &error)) << error;
+  for (const int vocab : {0, -3}) {
+    data::ShardManifest bad = manifest;
+    bad.schema.wide_fields.back().vocab_size = vocab;
+    bad.schema_fingerprint = data::FingerprintSchema(bad.schema);
+    ASSERT_TRUE(data::WriteManifest(nullptr, dir, bad, &error)) << error;
+
+    data::ShardManifest read;
+    EXPECT_FALSE(data::ReadManifest(nullptr, dir, &read, &error));
+    const std::string want = "wide:" + bad.schema.wide_fields.back().name +
+                             ": vocab size " + std::to_string(vocab) +
+                             " is not positive";
+    EXPECT_NE(error.find(": " + want), std::string::npos) << error;
+    data::StreamingDataset dataset;
+    EXPECT_FALSE(data::StreamingDataset::Open(dir, {}, &dataset, &error));
+  }
 }
 
 TEST(StreamTest, TrainerAbortsArePreemptedByFailClosedReads) {

@@ -67,6 +67,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 // dcmt-lint: allow(concurrency) — router-bench holds future score tokens.
@@ -110,6 +111,19 @@ int Usage() {
   return 2;
 }
 
+/// The int value of --`name`, which must be at least 1 (a batch size, a
+/// queue bound or a width). Anything smaller exits 2 the way a value that does not
+/// parse does, instead of reaching a library abort.
+int PositiveIntFlag(const eval::Flags& flags, const std::string& name) {
+  const int value = flags.GetInt(name);
+  if (value < 1) {
+    std::fprintf(stderr, "invalid value for --%s: '%s' (must be at least 1)\n",
+                 name.c_str(), flags.Get(name).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Applies the shared --threads flag (0 = DCMT_THREADS env / hardware
 /// default) before any tensor work runs.
 void ApplyThreadsFlag(const eval::Flags& flags) {
@@ -144,7 +158,7 @@ int WriteObsOutputs(const eval::Flags& flags) {
 
 models::ModelConfig ModelConfigFromFlags(const eval::Flags& flags) {
   models::ModelConfig config;
-  config.embedding_dim = flags.GetInt("embedding-dim");
+  config.embedding_dim = PositiveIntFlag(flags, "embedding-dim");
   config.lambda1 = static_cast<float>(flags.GetDouble("lambda1"));
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   return config;
@@ -274,7 +288,7 @@ int TrainCmd(int argc, char** argv) {
 
   eval::TrainConfig config;
   config.epochs = flags.GetInt("epochs");
-  config.batch_size = flags.GetInt("batch");
+  config.batch_size = PositiveIntFlag(flags, "batch");
   config.learning_rate = static_cast<float>(flags.GetDouble("lr"));
   config.weight_decay = static_cast<float>(flags.GetDouble("weight-decay"));
   config.validation_fraction = flags.GetDouble("val-fraction");
@@ -462,7 +476,7 @@ int CheckGraphCmd(int argc, char** argv) {
                            {"lambda1", "1.0"},
                            {"seed", "7"}});
   data::DatasetProfile profile = data::ProfileByName(flags.Get("profile"));
-  const int batch_size = flags.GetInt("batch");
+  const int batch_size = PositiveIntFlag(flags, "batch");
   // A few batches worth of exposures is plenty: the tape's structure does
   // not depend on the batch contents, only on the schema and model.
   profile.train_exposures = std::max(batch_size, 64);
@@ -549,8 +563,8 @@ int ServeBenchCmd(int argc, char** argv) {
   }
 
   serve::EngineConfig engine_config;
-  engine_config.max_batch = flags.GetInt("max-batch");
-  engine_config.queue_capacity = flags.GetInt("queue-capacity");
+  engine_config.max_batch = PositiveIntFlag(flags, "max-batch");
+  engine_config.queue_capacity = PositiveIntFlag(flags, "queue-capacity");
   serve::Engine engine(frozen.get(), engine_config);
 
   const int total = flags.GetInt("requests");
@@ -659,8 +673,8 @@ int RouterBenchCmd(int argc, char** argv) {
 
   serve::RouterConfig router_config;
   router_config.num_engines = std::max(1, flags.GetInt("engines"));
-  router_config.engine.max_batch = flags.GetInt("max-batch");
-  router_config.engine.queue_capacity = flags.GetInt("queue-capacity");
+  router_config.engine.max_batch = PositiveIntFlag(flags, "max-batch");
+  router_config.engine.queue_capacity = PositiveIntFlag(flags, "queue-capacity");
   router_config.cache_rows_per_shard = flags.GetInt("cache-rows");
   serve::Router router(std::move(initial), router_config);
 
@@ -894,7 +908,7 @@ int ContinualCmd(int argc, char** argv) {
   base.variant = flags.Get("model");
   base.model = ModelConfigFromFlags(flags);
   base.train.epochs = flags.GetInt("epochs");
-  base.train.batch_size = flags.GetInt("batch");
+  base.train.batch_size = PositiveIntFlag(flags, "batch");
   base.train.learning_rate = static_cast<float>(flags.GetDouble("lr"));
   base.train.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   base.pretrain_exposures = std::max<std::int64_t>(1, flags.GetInt("pretrain"));

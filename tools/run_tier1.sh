@@ -23,14 +23,14 @@ if [[ "${DCMT_SKIP_LINT:-0}" != "1" ]]; then
   "$BUILD_DIR"/tools/dcmt_lint --root=. src tests tools
 fi
 
-# Sanitizer trees: configure <build>-<name> with -DDCMT_SANITIZE=<kind>,
-# build the given targets (all of them without any) and run ctest there
-# with the remaining arguments.
+# Sanitizer trees: configure <build>-<name> with -DDCMT_SANITIZE=<kind>
+# (warnings are errors there too), build the given targets (all of them
+# without any) and run ctest there with the remaining arguments.
 #   sanitized_ctest <name> <kind> "<targets>" [ctest args...]
 sanitized_ctest() {
   local dir="${BUILD_DIR}-$1" kind="$2" targets="$3"
   shift 3
-  cmake -B "$dir" -S . -DDCMT_SANITIZE="$kind" \
+  cmake -B "$dir" -S . -DDCMT_SANITIZE="$kind" -DDCMT_WERROR=ON \
     -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
   cmake --build "$dir" -j "$JOBS" ${targets:+--target $targets}
   TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
@@ -39,7 +39,7 @@ sanitized_ctest() {
 
 # Hardening pass: the whole suite again under ASan/UBSan (non-recovering:
 # any report fails its test) — the I/O, checkpoint and shard parsers, the
-# raw-pointer SIMD kernels, the inference arena and the serving and
+# raw-pointer SIMD kernels, the inference guard and the serving and
 # continual layers included. Skippable (DCMT_SKIP_SANITIZE=1) because the
 # instrumented build roughly doubles tier-1 wall time.
 if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
