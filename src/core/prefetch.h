@@ -4,12 +4,12 @@
 // Concurrency seam for producer/consumer prefetch pipelines (DESIGN.md §15).
 // All thread/mutex machinery for the streaming data path lives here, inside
 // the src/core/ concurrency sanction (dcmt_lint `concurrency` rule), so that
-// src/data/stream can overlap shard decode with batch assembly without
-// holding any synchronization primitive of its own.
+// src/data/stream can decode shards and gather batches while the consumer
+// trains, without holding any synchronization primitive of its own.
 //
 // BoundedChannel<T> is a single-producer/single-consumer blocking queue with
 // a hard capacity: the producer blocks in Push when the channel is full
-// (backpressure bounds RSS to `capacity` decoded shards), the consumer
+// (backpressure bounds RSS to `capacity` queued items), the consumer
 // blocks in Pop when it is empty. Close() signals normal end-of-stream —
 // Pop drains remaining items, then returns false. Cancel() is immediate
 // shutdown: both sides unblock, queued items are dropped, nothing further

@@ -8,6 +8,50 @@
 namespace dcmt {
 namespace data {
 
+void GatherRows(const ShardColumns& columns, const std::int64_t* order,
+                int count, std::int64_t base, Batch* batch) {
+  const std::size_t at = static_cast<std::size_t>(batch->size);
+  const std::size_t n = static_cast<std::size_t>(count);
+  const auto gather = [&](const auto& column, auto* out) {
+    out->resize(at + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      (*out)[at + i] = column[static_cast<std::size_t>(order[i] - base)];
+    }
+  };
+  batch->deep_ids.resize(columns.deep_ids.size());
+  for (std::size_t f = 0; f < columns.deep_ids.size(); ++f) {
+    gather(columns.deep_ids[f], &batch->deep_ids[f]);
+  }
+  batch->wide_ids.resize(columns.wide_ids.size());
+  for (std::size_t f = 0; f < columns.wide_ids.size(); ++f) {
+    gather(columns.wide_ids[f], &batch->wide_ids[f]);
+  }
+  gather(columns.click, &batch->click_raw);
+  gather(columns.conversion, &batch->conversion_raw);
+  gather(columns.true_ctr, &batch->true_ctr);
+  gather(columns.true_cvr, &batch->true_cvr);
+  batch->size += count;
+}
+
+void FinishGather(Batch* batch) {
+  if (batch->size <= 0) {
+    std::fprintf(stderr, "FinishGather: empty batch\n");
+    std::abort();
+  }
+  const std::size_t n = static_cast<std::size_t>(batch->size);
+  std::vector<float> click(n), conversion(n), ctcvr(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t o = batch->click_raw[i];
+    const std::uint8_t r = batch->conversion_raw[i];
+    click[i] = static_cast<float>(o);
+    conversion[i] = static_cast<float>(r);
+    ctcvr[i] = static_cast<float>(o && r ? 1 : 0);
+  }
+  batch->click = Tensor::ColumnVector(click);
+  batch->conversion = Tensor::ColumnVector(conversion);
+  batch->ctcvr = Tensor::ColumnVector(ctcvr);
+}
+
 BatchBuilder::BatchBuilder(const FeatureSchema& schema, int capacity)
     : schema_(schema) {
   if (capacity <= 0) {
@@ -19,9 +63,6 @@ BatchBuilder::BatchBuilder(const FeatureSchema& schema, int capacity)
   batch_.wide_ids.assign(schema_.wide_fields.size(), {});
   for (auto& v : batch_.deep_ids) v.reserve(cap);
   for (auto& v : batch_.wide_ids) v.reserve(cap);
-  click_.reserve(cap);
-  conversion_.reserve(cap);
-  ctcvr_.reserve(cap);
   batch_.click_raw.reserve(cap);
   batch_.conversion_raw.reserve(cap);
   batch_.true_ctr.reserve(cap);
@@ -33,25 +74,15 @@ void BatchBuilder::Add(const Example& e) {
   const std::size_t n_wide = schema_.wide_fields.size();
   for (std::size_t f = 0; f < n_deep; ++f) batch_.deep_ids[f].push_back(e.deep_ids[f]);
   for (std::size_t f = 0; f < n_wide; ++f) batch_.wide_ids[f].push_back(e.wide_ids[f]);
-  click_.push_back(static_cast<float>(e.click));
-  conversion_.push_back(static_cast<float>(e.conversion));
-  ctcvr_.push_back(static_cast<float>(e.click && e.conversion ? 1 : 0));
   batch_.click_raw.push_back(e.click);
   batch_.conversion_raw.push_back(e.conversion);
   batch_.true_ctr.push_back(e.true_ctr);
   batch_.true_cvr.push_back(e.true_cvr);
-  ++size_;
+  ++batch_.size;
 }
 
 Batch BatchBuilder::Finish() {
-  if (size_ <= 0) {
-    std::fprintf(stderr, "BatchBuilder: empty batch\n");
-    std::abort();
-  }
-  batch_.size = size_;
-  batch_.click = Tensor::ColumnVector(click_);
-  batch_.conversion = Tensor::ColumnVector(conversion_);
-  batch_.ctcvr = Tensor::ColumnVector(ctcvr_);
+  FinishGather(&batch_);
   return std::move(batch_);
 }
 
@@ -155,6 +186,7 @@ std::vector<std::int64_t> ShardedEpochOrder(
 Batcher::Batcher(const Dataset* dataset, int batch_size, Rng* rng,
                  std::vector<std::int64_t> shard_plan)
     : dataset_(dataset),
+      columns_(ShardColumns::FromRows(dataset->schema(), dataset->examples())),
       batch_size_(batch_size),
       rng_(rng),
       shard_plan_(std::move(shard_plan)) {
@@ -204,8 +236,9 @@ bool Batcher::Next(Batch* batch) {
   }
   const int count = static_cast<int>(
       std::min<std::int64_t>(batch_size_, dataset_->size() - cursor_));
-  *batch = MakeBatch(dataset_->examples(), order_, cursor_, count,
-                     dataset_->schema());
+  *batch = Batch{};
+  GatherRows(columns_, order_.data() + cursor_, count, /*base=*/0, batch);
+  FinishGather(batch);
   cursor_ += count;
   return true;
 }

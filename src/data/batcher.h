@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/shard.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -36,10 +37,23 @@ struct Batch {
   int size = 0;
 };
 
-/// Row-incremental batch assembly. Both the in-RAM MakeBatch and the
-/// streaming batcher build batches through this one class, so the two paths
-/// are bit-identical by construction: the same Add() sequence produces the
-/// same column buffers and the same ColumnVector tensors.
+/// Appends `count` rows of `columns` to `batch`: row i is column row
+/// `order[i] - base`. Both training sources build their batches through this
+/// one gather (the in-RAM Batcher over its whole dataset, the streaming
+/// batcher over one resident shard at a time, in pieces where a batch
+/// straddles two shards), so their batches are bit-identical by
+/// construction. Call FinishGather once the last piece is in.
+void GatherRows(const ShardColumns& columns, const std::int64_t* order,
+                int count, std::int64_t base, Batch* batch);
+
+/// Builds the batch's click, conversion and CTCVR label tensors from its raw
+/// label bytes. Aborts on an empty batch.
+void FinishGather(Batch* batch);
+
+/// Row-at-a-time batch assembly from Examples, for callers that hold rows
+/// rather than columns: serving (FrozenModel scores request rows) and
+/// evaluation (MakeContiguousBatch). Labels finish through FinishGather, so
+/// these batches carry the same label tensors a gathered batch would.
 class BatchBuilder {
  public:
   BatchBuilder(const FeatureSchema& schema, int capacity);
@@ -49,15 +63,11 @@ class BatchBuilder {
   /// consumed; construct a fresh one per batch.
   Batch Finish();
 
-  int size() const { return size_; }
+  int size() const { return batch_.size; }
 
  private:
   const FeatureSchema& schema_;
   Batch batch_;
-  std::vector<float> click_;
-  std::vector<float> conversion_;
-  std::vector<float> ctcvr_;
-  int size_ = 0;
 };
 
 /// Assembles a batch from `examples[indices[first..first+count)]`.
@@ -121,6 +131,8 @@ std::vector<std::int64_t> ShardedEpochOrder(
 
 /// Iterates a dataset in minibatches, reshuffling per epoch when a rng is
 /// provided. The final short batch of an epoch is emitted (not dropped).
+/// The constructor converts the dataset to columns once; the dataset must
+/// not change while the batcher lives.
 class Batcher : public BatchSource {
  public:
   /// `rng` may be null for sequential (evaluation) order. Non-owning; must
@@ -159,6 +171,8 @@ class Batcher : public BatchSource {
   void ShuffleIfNeeded();
 
   const Dataset* dataset_;
+  /// The dataset's rows as columns, converted once at construction.
+  ShardColumns columns_;
   int batch_size_;
   Rng* rng_;
   std::vector<std::int64_t> shard_plan_;

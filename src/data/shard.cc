@@ -44,14 +44,25 @@ struct ShardLabelSums {
   std::int64_t oracle_conversions = 0;
 };
 
-ShardLabelSums SumLabels(const std::vector<Example>& rows) {
-  ShardLabelSums sums;
-  for (const Example& e : rows) {
-    sums.clicks += e.click;
-    sums.conversions += e.conversion;
-    sums.oracle_conversions += e.oracle_conversion;
-  }
-  return sums;
+std::int64_t SumBytes(const std::vector<std::uint8_t>& column) {
+  std::int64_t sum = 0;
+  for (const std::uint8_t b : column) sum += b;
+  return sum;
+}
+
+ShardLabelSums SumLabels(const ShardColumns& columns) {
+  return {SumBytes(columns.click), SumBytes(columns.conversion),
+          SumBytes(columns.oracle_conversion)};
+}
+
+bool ReadColumn(core::PayloadReader* in, std::vector<std::uint8_t>* column) {
+  return in->U8Vec(column);
+}
+bool ReadColumn(core::PayloadReader* in, std::vector<float>* column) {
+  return in->F32Vec(column);
+}
+bool ReadColumn(core::PayloadReader* in, std::vector<std::int32_t>* column) {
+  return in->I32Vec(column);
 }
 
 bool ReadFileImage(core::FileSystem* fs, const std::string& path,
@@ -145,53 +156,92 @@ std::string ShardFileName(int shard_index) {
 
 // --- Shard encoding --------------------------------------------------------
 
-std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
-                             const std::vector<Example>& rows) {
+Example ShardColumns::Row(std::int64_t r) const {
+  const std::size_t i = static_cast<std::size_t>(r);
+  Example e;
+  e.deep_ids.reserve(deep_ids.size());
+  for (const std::vector<std::int32_t>& column : deep_ids) {
+    e.deep_ids.push_back(column[i]);
+  }
+  e.wide_ids.reserve(wide_ids.size());
+  for (const std::vector<std::int32_t>& column : wide_ids) {
+    e.wide_ids.push_back(column[i]);
+  }
+  e.click = click[i];
+  e.conversion = conversion[i];
+  e.oracle_conversion = oracle_conversion[i];
+  e.true_ctr = true_ctr[i];
+  e.true_cvr = true_cvr[i];
+  e.user_index = user_index[i];
+  e.item_index = item_index[i];
+  e.convert_lag_days = convert_lag_days[i];
+  return e;
+}
+
+ShardColumns ShardColumns::FromRows(const FeatureSchema& schema,
+                                    const std::vector<Example>& rows) {
+  const std::size_t n = rows.size();
+  ShardColumns c;
+  c.deep_ids.assign(schema.deep_fields.size(), std::vector<std::int32_t>(n));
+  c.wide_ids.assign(schema.wide_fields.size(), std::vector<std::int32_t>(n));
+  c.click.resize(n);
+  c.conversion.resize(n);
+  c.oracle_conversion.resize(n);
+  c.true_ctr.resize(n);
+  c.true_cvr.resize(n);
+  c.user_index.resize(n);
+  c.item_index.resize(n);
+  c.convert_lag_days.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Example& e = rows[r];
+    for (std::size_t f = 0; f < c.deep_ids.size(); ++f) {
+      c.deep_ids[f][r] = e.deep_ids[f];
+    }
+    for (std::size_t f = 0; f < c.wide_ids.size(); ++f) {
+      c.wide_ids[f][r] = e.wide_ids[f];
+    }
+    c.click[r] = e.click;
+    c.conversion[r] = e.conversion;
+    c.oracle_conversion[r] = e.oracle_conversion;
+    c.true_ctr[r] = e.true_ctr;
+    c.true_cvr[r] = e.true_cvr;
+    c.user_index[r] = e.user_index;
+    c.item_index[r] = e.item_index;
+    c.convert_lag_days[r] = e.convert_lag_days;
+  }
+  return c;
+}
+
+namespace {
+
+std::string EncodeColumns(const FeatureSchema& schema, int shard_index,
+                          const ShardColumns& columns) {
   const std::uint64_t fingerprint = FingerprintSchema(schema);
-  const std::int64_t n = static_cast<std::int64_t>(rows.size());
-  const std::size_t n_deep = schema.deep_fields.size();
-  const std::size_t n_wide = schema.wide_fields.size();
+  const std::int64_t n = columns.size();
 
   core::PayloadWriter header;
   header.U64(fingerprint);
   header.U32(static_cast<std::uint32_t>(shard_index));
   header.I64(n);
 
-  // Columnar transpose: one id column per field, then the label byte
-  // columns, propensity float columns, and entity index columns.
+  // One id column per field, then the label byte columns, propensity float
+  // columns, and entity index columns.
   core::PayloadWriter body;
   body.I64(n);
-  body.U32(static_cast<std::uint32_t>(n_deep));
-  body.U32(static_cast<std::uint32_t>(n_wide));
-  std::vector<std::int32_t> ids(rows.size());
-  for (std::size_t f = 0; f < n_deep; ++f) {
-    for (std::size_t r = 0; r < rows.size(); ++r) ids[r] = rows[r].deep_ids[f];
-    body.I32Vec(ids);
-  }
-  for (std::size_t f = 0; f < n_wide; ++f) {
-    for (std::size_t r = 0; r < rows.size(); ++r) ids[r] = rows[r].wide_ids[f];
-    body.I32Vec(ids);
-  }
-  std::vector<std::uint8_t> bytes(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) bytes[r] = rows[r].click;
-  body.U8Vec(bytes);
-  for (std::size_t r = 0; r < rows.size(); ++r) bytes[r] = rows[r].conversion;
-  body.U8Vec(bytes);
-  for (std::size_t r = 0; r < rows.size(); ++r) bytes[r] = rows[r].oracle_conversion;
-  body.U8Vec(bytes);
-  std::vector<float> floats(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) floats[r] = rows[r].true_ctr;
-  body.F32Vec(floats);
-  for (std::size_t r = 0; r < rows.size(); ++r) floats[r] = rows[r].true_cvr;
-  body.F32Vec(floats);
-  for (std::size_t r = 0; r < rows.size(); ++r) ids[r] = rows[r].user_index;
-  body.I32Vec(ids);
-  for (std::size_t r = 0; r < rows.size(); ++r) ids[r] = rows[r].item_index;
-  body.I32Vec(ids);
-  for (std::size_t r = 0; r < rows.size(); ++r) ids[r] = rows[r].convert_lag_days;
-  body.I32Vec(ids);
+  body.U32(static_cast<std::uint32_t>(schema.deep_fields.size()));
+  body.U32(static_cast<std::uint32_t>(schema.wide_fields.size()));
+  for (const std::vector<std::int32_t>& ids : columns.deep_ids) body.I32Vec(ids);
+  for (const std::vector<std::int32_t>& ids : columns.wide_ids) body.I32Vec(ids);
+  body.U8Vec(columns.click);
+  body.U8Vec(columns.conversion);
+  body.U8Vec(columns.oracle_conversion);
+  body.F32Vec(columns.true_ctr);
+  body.F32Vec(columns.true_cvr);
+  body.I32Vec(columns.user_index);
+  body.I32Vec(columns.item_index);
+  body.I32Vec(columns.convert_lag_days);
 
-  const ShardLabelSums sums = SumLabels(rows);
+  const ShardLabelSums sums = SumLabels(columns);
   core::PayloadWriter footer;
   footer.I64(n);
   footer.I64(sums.clicks);
@@ -207,30 +257,41 @@ std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
   return image;
 }
 
+}  // namespace
+
+std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
+                             const std::vector<Example>& rows) {
+  return EncodeColumns(schema, shard_index,
+                       ShardColumns::FromRows(schema, rows));
+}
+
 bool ReadShardFile(core::FileSystem* fs, const std::string& path,
                    const ShardManifest& manifest, int shard_index,
-                   std::vector<Example>* rows, std::string* error) {
-  rows->clear();
+                   ShardColumns* columns, std::string* error) {
   *error = {};
+  // Every failure below empties the columns, so no caller can read a
+  // partially decoded shard.
+  const auto fail = [&](std::string message) {
+    *error = std::move(message);
+    *columns = ShardColumns{};
+    return false;
+  };
   if (shard_index < 0 ||
       static_cast<std::size_t>(shard_index) >= manifest.shards.size()) {
-    *error = path + ": shard index out of manifest range";
-    return false;
+    return fail(path + ": shard index out of manifest range");
   }
   const ShardInfo& info = manifest.shards[static_cast<std::size_t>(shard_index)];
 
   std::string image;
-  if (!ReadFileImage(fs, path, &image, error)) return false;
+  if (!ReadFileImage(fs, path, &image, error)) return fail(*error);
 
   std::vector<core::RecordView> records;
   if (!core::ParseRecordImage(image, kShardMagic, kShardFormatVersion, &records)) {
-    *error = path + ": malformed shard container (bad magic, framing or CRC)";
-    return false;
+    return fail(path + ": malformed shard container (bad magic, framing or CRC)");
   }
   if (records.size() != 3 || records[0].type != kShardHeader ||
       records[1].type != kShardRows || records[2].type != kShardFooter) {
-    *error = path + ": unexpected shard record layout";
-    return false;
+    return fail(path + ": unexpected shard record layout");
   }
 
   // Header: the shard must belong to this manifest, at this position.
@@ -240,150 +301,121 @@ bool ReadShardFile(core::FileSystem* fs, const std::string& path,
   std::int64_t header_rows = 0;
   if (!header.U64(&fingerprint) || !header.U32(&stored_index) ||
       !header.I64(&header_rows) || !header.AtEnd()) {
-    *error = path + ": malformed shard header";
-    return false;
+    return fail(path + ": malformed shard header");
   }
   if (fingerprint != manifest.schema_fingerprint) {
-    *error = path + ": schema fingerprint mismatch (wrong dataset?)";
-    return false;
+    return fail(path + ": schema fingerprint mismatch (wrong dataset?)");
   }
   if (stored_index != static_cast<std::uint32_t>(shard_index)) {
-    *error = path + ": shard index mismatch (file moved or renamed?)";
-    return false;
+    return fail(path + ": shard index mismatch (file moved or renamed?)");
   }
   if (header_rows != info.rows) {
-    *error = path + ": header row count disagrees with manifest";
-    return false;
+    return fail(path + ": header row count disagrees with manifest");
   }
 
-  // Body: decode the columns and re-transpose into Examples.
+  // Body: decode each column straight into its place.
   const std::size_t n_deep = manifest.schema.deep_fields.size();
   const std::size_t n_wide = manifest.schema.wide_fields.size();
   core::PayloadReader body(records[1].payload);
   std::int64_t n = 0;
   std::uint32_t deep_count = 0, wide_count = 0;
   if (!body.I64(&n) || !body.U32(&deep_count) || !body.U32(&wide_count)) {
-    *error = path + ": malformed shard body";
-    return false;
+    return fail(path + ": malformed shard body");
   }
   if (n != info.rows || deep_count != n_deep || wide_count != n_wide) {
-    *error = path + ": shard body shape disagrees with manifest schema";
-    return false;
+    return fail(path + ": shard body shape disagrees with manifest schema");
   }
   const std::size_t rows_n = static_cast<std::size_t>(n);
-  rows->resize(rows_n);
-  for (Example& e : *rows) {
-    e.deep_ids.resize(n_deep);
-    e.wide_ids.resize(n_wide);
-  }
+  columns->deep_ids.resize(n_deep);
+  columns->wide_ids.resize(n_wide);
   // Values are checked as their column is decoded, the way ReadCsv checks
   // its cells: a CRC only proves the bytes are the ones written, and an
   // out-of-vocab id or a label outside {0, 1} would abort training later.
   const auto reject = [&](const std::string& column, std::size_t r,
                           const std::string& what) {
-    *error = path + ": " + column + ": " + what + " (row " +
-             std::to_string(r) + ")";
-    rows->clear();
-    return false;
+    return fail(path + ": " + column + ": " + what + " (row " +
+                std::to_string(r) + ")");
   };
-  std::vector<std::int32_t> ids;
   const auto read_ids = [&](const char* kind, const FieldSpec& field,
-                            std::size_t f, std::vector<int> Example::*column) {
-    if (!body.I32Vec(&ids) || ids.size() != rows_n) {
-      *error = path + ": truncated " + kind + " id column";
-      rows->clear();
-      return false;
+                            std::vector<std::int32_t>* ids) {
+    if (!body.I32Vec(ids) || ids->size() != rows_n) {
+      return fail(path + ": truncated " + kind + " id column");
     }
     for (std::size_t r = 0; r < rows_n; ++r) {
-      if (ids[r] < 0 || ids[r] >= field.vocab_size) {
+      const std::int32_t id = (*ids)[r];
+      if (id < 0 || id >= field.vocab_size) {
         return reject(std::string(kind) + ":" + field.name, r,
-                      "id " + std::to_string(ids[r]) + " is outside [0, " +
+                      "id " + std::to_string(id) + " is outside [0, " +
                           std::to_string(field.vocab_size) + ")");
       }
-      ((*rows)[r].*column)[f] = ids[r];
     }
     return true;
   };
   for (std::size_t f = 0; f < n_deep; ++f) {
-    if (!read_ids("deep", manifest.schema.deep_fields[f], f, &Example::deep_ids)) {
+    if (!read_ids("deep", manifest.schema.deep_fields[f],
+                  &columns->deep_ids[f])) {
       return false;
     }
   }
   for (std::size_t f = 0; f < n_wide; ++f) {
-    if (!read_ids("wide", manifest.schema.wide_fields[f], f, &Example::wide_ids)) {
+    if (!read_ids("wide", manifest.schema.wide_fields[f],
+                  &columns->wide_ids[f])) {
       return false;
     }
   }
-  std::vector<std::uint8_t> bytes;
-  std::vector<float> floats;
-  const auto fail_body = [&]() {
-    *error = path + ": truncated shard column";
-    rows->clear();
-    return false;
-  };
-  // Click decodes before conversion, so the conversion loop can check that
-  // every conversion has its click.
-  const auto read_labels = [&](const char* column, std::uint8_t Example::*label) {
-    if (!body.U8Vec(&bytes) || bytes.size() != rows_n) return fail_body();
-    for (std::size_t r = 0; r < rows_n; ++r) {
-      Example& e = (*rows)[r];
-      if (bytes[r] > 1) {
-        return reject(column, r, "label " + std::to_string(bytes[r]) +
-                                     " is not 0 or 1");
-      }
-      if (label == &Example::conversion && bytes[r] == 1 && e.click == 0) {
-        return reject(column, r, "conversion without a click");
-      }
-      e.*label = bytes[r];
+  const auto read_column = [&](auto* column) {
+    if (!ReadColumn(&body, column) || column->size() != rows_n) {
+      return fail(path + ": truncated shard column");
     }
     return true;
   };
-  if (!read_labels("click", &Example::click) ||
-      !read_labels("conversion", &Example::conversion) ||
-      !read_labels("oracle_conversion", &Example::oracle_conversion)) {
+  // Click decodes before conversion, so the conversion loop can check that
+  // every conversion has its click.
+  const auto read_labels = [&](const char* name,
+                               std::vector<std::uint8_t>* labels) {
+    if (!read_column(labels)) return false;
+    const bool is_conversion = labels == &columns->conversion;
+    for (std::size_t r = 0; r < rows_n; ++r) {
+      const std::uint8_t b = (*labels)[r];
+      if (b > 1) {
+        return reject(name, r, "label " + std::to_string(b) + " is not 0 or 1");
+      }
+      if (is_conversion && b == 1 && columns->click[r] == 0) {
+        return reject(name, r, "conversion without a click");
+      }
+    }
+    return true;
+  };
+  if (!read_labels("click", &columns->click) ||
+      !read_labels("conversion", &columns->conversion) ||
+      !read_labels("oracle_conversion", &columns->oracle_conversion) ||
+      !read_column(&columns->true_ctr) || !read_column(&columns->true_cvr) ||
+      !read_column(&columns->user_index) ||
+      !read_column(&columns->item_index) ||
+      !read_column(&columns->convert_lag_days)) {
     return false;
   }
-  if (!body.F32Vec(&floats) || floats.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].true_ctr = floats[r];
-  if (!body.F32Vec(&floats) || floats.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].true_cvr = floats[r];
-  if (!body.I32Vec(&ids) || ids.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].user_index = ids[r];
-  if (!body.I32Vec(&ids) || ids.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].item_index = ids[r];
-  if (!body.I32Vec(&ids) || ids.size() != rows_n) return fail_body();
-  for (std::size_t r = 0; r < rows_n; ++r) (*rows)[r].convert_lag_days = ids[r];
-  if (!body.AtEnd()) {
-    *error = path + ": trailing bytes in shard body";
-    rows->clear();
-    return false;
-  }
+  if (!body.AtEnd()) return fail(path + ": trailing bytes in shard body");
 
-  // Footer: counts and sums must agree with the decoded rows AND with the
-  // manifest entry, so a stale manifest or a swapped shard is caught here.
+  // Footer: counts and sums must agree with the decoded columns AND with
+  // the manifest entry, so a stale manifest or a swapped shard is caught.
   core::PayloadReader footer(records[2].payload);
   std::int64_t footer_rows = 0, clicks = 0, conversions = 0, oracle = 0;
   std::uint64_t footer_fingerprint = 0;
   if (!footer.I64(&footer_rows) || !footer.I64(&clicks) ||
       !footer.I64(&conversions) || !footer.I64(&oracle) ||
       !footer.U64(&footer_fingerprint) || !footer.AtEnd()) {
-    *error = path + ": malformed shard footer";
-    rows->clear();
-    return false;
+    return fail(path + ": malformed shard footer");
   }
-  const ShardLabelSums sums = SumLabels(*rows);
+  const ShardLabelSums sums = SumLabels(*columns);
   if (footer_rows != n || footer_fingerprint != fingerprint ||
       sums.clicks != clicks || sums.conversions != conversions ||
       sums.oracle_conversions != oracle) {
-    *error = path + ": footer validation failed (rows or label sums)";
-    rows->clear();
-    return false;
+    return fail(path + ": footer validation failed (rows or label sums)");
   }
   if (clicks != info.clicks || conversions != info.conversions ||
       oracle != info.oracle_conversions) {
-    *error = path + ": label sums disagree with manifest";
-    rows->clear();
-    return false;
+    return fail(path + ": label sums disagree with manifest");
   }
   return true;
 }
@@ -496,14 +528,14 @@ void ShardWriter::Append(const Example& example) {
 void ShardWriter::FlushShard() {
   const int shard_index = static_cast<int>(manifest_.shards.size());
   const std::string file = ShardFileName(shard_index);
-  const std::string image =
-      EncodeShardImage(manifest_.schema, shard_index, pending_);
+  const ShardColumns columns = ShardColumns::FromRows(manifest_.schema, pending_);
+  const std::string image = EncodeColumns(manifest_.schema, shard_index, columns);
   if (!core::AtomicWriteFile(fs_, JoinPath(dir_, file), image)) {
     ok_ = false;
     error_ = JoinPath(dir_, file) + ": atomic write failed";
     return;
   }
-  const ShardLabelSums sums = SumLabels(pending_);
+  const ShardLabelSums sums = SumLabels(columns);
   ShardInfo info;
   info.file = file;
   info.rows = static_cast<std::int64_t>(pending_.size());

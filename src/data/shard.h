@@ -95,8 +95,8 @@ std::string ShardFileName(int shard_index);
 inline constexpr char kManifestFileName[] = "manifest.shm";
 
 struct ShardWriterConfig {
-  /// Rows buffered per shard before it is flushed to disk. The default keeps
-  /// a shard's decoded form around 10 MB at this schema's row width.
+  /// Rows buffered per shard before it is flushed to disk. At the default a
+  /// shard's decoded columns take ~15 MB (59 bytes a row with 9 id fields).
   std::int64_t rows_per_shard = 1 << 18;
   /// nullptr = real file system; tests pass a FaultInjectingFileSystem.
   core::FileSystem* fs = nullptr;
@@ -135,6 +135,30 @@ class ShardWriter {
   std::string error_;
 };
 
+/// Rows held as columns, the layout a shard file stores and a Batch
+/// consumes: one contiguous column per field and per label. A decoded shard
+/// stays in this form; batches gather from it by row index, and callers that
+/// need rows convert through Row().
+struct ShardColumns {
+  std::vector<std::vector<std::int32_t>> deep_ids;  // deep_ids[f][r]
+  std::vector<std::vector<std::int32_t>> wide_ids;  // wide_ids[f][r]
+  std::vector<std::uint8_t> click;
+  std::vector<std::uint8_t> conversion;
+  std::vector<std::uint8_t> oracle_conversion;
+  std::vector<float> true_ctr;
+  std::vector<float> true_cvr;
+  std::vector<std::int32_t> user_index;
+  std::vector<std::int32_t> item_index;
+  std::vector<std::int32_t> convert_lag_days;
+
+  std::int64_t size() const { return static_cast<std::int64_t>(click.size()); }
+  /// Row r as an Example.
+  Example Row(std::int64_t r) const;
+  /// The columns of `rows`, which hold `schema`'s fields.
+  static ShardColumns FromRows(const FeatureSchema& schema,
+                               const std::vector<Example>& rows);
+};
+
 /// Encodes one shard's rows as a complete shard-file image (used by the
 /// writer; exposed for tests and benchmarks).
 std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
@@ -144,13 +168,14 @@ std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
 /// container framing + CRCs, header/footer fingerprints and counts, column
 /// lengths, every value (ids inside their field's vocab, labels in {0, 1},
 /// no conversion without a click), and the footer/manifest label sums
-/// recomputed from the decoded rows. On any mismatch returns false with
+/// recomputed from the decoded columns. On any mismatch returns false with
 /// `*error` naming the failure ("<path>: <column>: <what> (row r)" for a bad
-/// value) and `*rows` cleared. Thread-safe for concurrent calls when `fs` is
-/// (the default PosixFileSystem is stateless).
+/// value) and `*columns` emptied. Decoding into a reused `*columns` keeps its
+/// buffers. Thread-safe for concurrent calls when `fs` is (the default
+/// PosixFileSystem is stateless).
 bool ReadShardFile(core::FileSystem* fs, const std::string& path,
                    const ShardManifest& manifest, int shard_index,
-                   std::vector<Example>* rows, std::string* error);
+                   ShardColumns* columns, std::string* error);
 
 /// Writes / reads the manifest file inside `dir` (atomically on write).
 bool WriteManifest(core::FileSystem* fs, const std::string& dir,

@@ -16,6 +16,37 @@ std::string JoinPath(const std::string& dir, const std::string& file) {
   return dir + "/" + file;
 }
 
+/// The shard holding global row `global`, given the shard row offsets.
+int ShardOf(const std::vector<std::int64_t>& offsets, std::int64_t global) {
+  return static_cast<int>(
+      std::upper_bound(offsets.begin(), offsets.end(), global) -
+      offsets.begin() - 1);
+}
+
+/// True if each shard's rows form exactly one contiguous run of `order`
+/// covering the whole shard. Only such orders can be streamed with each
+/// shard decoded once per epoch, and they map any cursor to exactly one
+/// (shard, offset) pair, which mid-epoch resumption relies on.
+bool IsShardSequential(const std::vector<std::int64_t>& order,
+                       const std::vector<std::int64_t>& offsets) {
+  std::vector<char> seen(offsets.size() - 1, 0);
+  std::size_t pos = 0;
+  while (pos < order.size()) {
+    const int s = ShardOf(offsets, order[pos]);
+    const std::size_t shard = static_cast<std::size_t>(s);
+    if (seen[shard]) return false;
+    seen[shard] = 1;
+    const std::int64_t lo = offsets[shard];
+    const std::int64_t hi = offsets[shard + 1];
+    const std::size_t run_end = pos + static_cast<std::size_t>(hi - lo);
+    if (run_end > order.size()) return false;
+    for (; pos < run_end; ++pos) {
+      if (order[pos] < lo || order[pos] >= hi) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // --- StreamingDataset ------------------------------------------------------
@@ -40,7 +71,7 @@ bool StreamingDataset::Open(const std::string& dir,
   return true;
 }
 
-bool StreamingDataset::ReadShard(int shard_index, std::vector<Example>* rows,
+bool StreamingDataset::ReadShard(int shard_index, ShardColumns* columns,
                                  std::string* error) const {
   if (shard_index < 0 || shard_index >= num_shards()) {
     *error = dir_ + ": shard index out of range";
@@ -48,22 +79,82 @@ bool StreamingDataset::ReadShard(int shard_index, std::vector<Example>* rows,
   }
   const std::string path =
       JoinPath(dir_, manifest_.shards[static_cast<std::size_t>(shard_index)].file);
-  return ReadShardFile(fs_, path, manifest_, shard_index, rows, error);
+  return ReadShardFile(fs_, path, manifest_, shard_index, columns, error);
 }
 
 bool StreamingDataset::Materialize(Dataset* out, std::string* error) const {
   std::vector<Example> examples;
   examples.reserve(static_cast<std::size_t>(size()));
-  std::vector<Example> rows;
+  ShardColumns columns;
   for (int s = 0; s < num_shards(); ++s) {
-    if (!ReadShard(s, &rows, error)) return false;
-    for (Example& e : rows) examples.push_back(std::move(e));
+    if (!ReadShard(s, &columns, error)) return false;
+    for (std::int64_t r = 0; r < columns.size(); ++r) {
+      examples.push_back(columns.Row(r));
+    }
   }
   *out = Dataset(dir_, manifest_.schema, std::move(examples));
   return true;
 }
 
 // --- StreamingBatcher ------------------------------------------------------
+
+/// Gathers an epoch order's batches from a cursor on, decoding each shard
+/// the order visits once, when its first row is reached. A batch that
+/// straddles two shards gathers in two pieces. Runs on the prefetch worker,
+/// or on the consumer thread at depth 0; it owns its resident shard and
+/// reads only the epoch order, which the batcher leaves unchanged until the
+/// gather is stopped, and the immutable dataset.
+class StreamingBatcher::Gather {
+ public:
+  Gather(const StreamingDataset* dataset, int batch_size,
+         const std::vector<std::int64_t>* order, std::int64_t cursor)
+      : dataset_(dataset),
+        batch_size_(batch_size),
+        order_(order),
+        cursor_(cursor) {}
+
+  /// Fills `*out` with the next batch, or with the read error that ends the
+  /// stream. Returns false once the order is exhausted.
+  bool Next(Gathered* out) {
+    const std::vector<std::int64_t>& order = *order_;
+    const std::int64_t end = static_cast<std::int64_t>(order.size());
+    if (cursor_ >= end) return false;
+    const std::vector<std::int64_t>& offsets = dataset_->ShardRowOffsets();
+    const std::int64_t stop = std::min<std::int64_t>(cursor_ + batch_size_, end);
+    *out = Gathered{};
+    while (cursor_ < stop) {
+      if (shard_ < 0 || order[cursor_] < lo_ || order[cursor_] >= hi_) {
+        shard_ = ShardOf(offsets, order[cursor_]);
+        if (!dataset_->ReadShard(shard_, &resident_, &out->error)) {
+          cursor_ = end;
+          return true;
+        }
+        ++out->shards_decoded;
+        lo_ = offsets[static_cast<std::size_t>(shard_)];
+        hi_ = offsets[static_cast<std::size_t>(shard_) + 1];
+      }
+      std::int64_t run_end = cursor_ + 1;
+      while (run_end < stop && order[run_end] >= lo_ && order[run_end] < hi_) {
+        ++run_end;
+      }
+      GatherRows(resident_, order.data() + cursor_,
+                 static_cast<int>(run_end - cursor_), lo_, &out->batch);
+      cursor_ = run_end;
+    }
+    FinishGather(&out->batch);
+    return true;
+  }
+
+ private:
+  const StreamingDataset* dataset_;
+  int batch_size_;
+  const std::vector<std::int64_t>* order_;
+  std::int64_t cursor_;
+  ShardColumns resident_;
+  int shard_ = -1;  // the resident shard, holding global rows [lo_, hi_)
+  std::int64_t lo_ = 0;
+  std::int64_t hi_ = 0;
+};
 
 StreamingBatcher::StreamingBatcher(const StreamingDataset* dataset,
                                    int batch_size, Rng* rng, int prefetch_depth)
@@ -81,136 +172,58 @@ StreamingBatcher::StreamingBatcher(const StreamingDataset* dataset,
   order_.resize(static_cast<std::size_t>(dataset_->size()));
   std::iota(order_.begin(), order_.end(), 0);
   ShuffleIfNeeded();
-  if (rng_ == nullptr && !DeriveVisits()) {
-    std::fprintf(stderr, "StreamingBatcher: identity order not shard-sequential\n");
-    std::abort();
-  }
 }
 
-StreamingBatcher::~StreamingBatcher() { StopPipeline(); }
+StreamingBatcher::~StreamingBatcher() { StopGather(); }
 
 void StreamingBatcher::ShuffleIfNeeded() {
   if (rng_ == nullptr) return;
   order_ = ShardedEpochOrder(dataset_->ShardRowCounts(), rng_);
-  if (!DeriveVisits()) {
-    // ShardedEpochOrder is shard-sequential by construction.
-    std::fprintf(stderr, "StreamingBatcher: internal order derivation failed\n");
-    std::abort();
-  }
 }
 
-bool StreamingBatcher::DeriveVisits() {
-  visits_.clear();
-  visit_starts_.clear();
-  const std::vector<std::int64_t>& offsets = dataset_->ShardRowOffsets();
-  const std::vector<std::int64_t> shard_rows = dataset_->ShardRowCounts();
-  std::vector<char> seen(shard_rows.size(), 0);
-  int run_shard = -1;
-  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
-    const std::int64_t global = order_[pos];
-    const int s = static_cast<int>(
-        std::upper_bound(offsets.begin(), offsets.end(), global) -
-        offsets.begin() - 1);
-    if (s != run_shard) {
-      // A shard may occupy exactly one contiguous run of the epoch order;
-      // a second run would force the stream to decode it twice per epoch.
-      if (seen[static_cast<std::size_t>(s)]) return false;
-      seen[static_cast<std::size_t>(s)] = 1;
-      run_shard = s;
-      visits_.push_back(s);
-      visit_starts_.push_back(static_cast<std::int64_t>(pos));
+void StreamingBatcher::StartGather() {
+  Gather gather(dataset_, batch_size_, &order_, cursor_);
+  if (prefetch_depth_ <= 0) {
+    // Synchronous mode: zero concurrency (required when the file system is
+    // a FaultInjectingFileSystem, whose open counter is not thread-safe).
+    sync_gather_ = std::make_unique<Gather>(std::move(gather));
+    return;
+  }
+  // The channel holds prefetch_depth shards' worth of batches, so the
+  // worker decodes the next shard while the consumer still has batches.
+  std::int64_t max_shard_rows = 1;
+  for (const std::int64_t rows : dataset_->ShardRowCounts()) {
+    max_shard_rows = std::max(max_shard_rows, rows);
+  }
+  const std::int64_t batches_per_shard =
+      (max_shard_rows + batch_size_ - 1) / batch_size_;
+  channel_ = std::make_unique<core::BoundedChannel<Gathered>>(
+      static_cast<std::size_t>(prefetch_depth_ * batches_per_shard));
+  core::BoundedChannel<Gathered>* chan = channel_.get();
+  worker_ = core::WorkerThread([chan, gather = std::move(gather)]() mutable {
+    Gathered item;
+    while (gather.Next(&item)) {
+      const bool failed = !item.error.empty();
+      if (!chan->Push(std::move(item))) return;  // consumer cancelled
+      if (failed) return;  // failure delivered; stop producing
     }
-  }
-  visit_starts_.push_back(static_cast<std::int64_t>(order_.size()));
-  // Each run must cover its whole shard, so mid-epoch resumption can map any
-  // cursor to exactly one (shard, offset) pair.
-  for (std::size_t v = 0; v < visits_.size(); ++v) {
-    const std::int64_t run_len = visit_starts_[v + 1] - visit_starts_[v];
-    if (run_len != shard_rows[static_cast<std::size_t>(visits_[v])]) return false;
-  }
-  return true;
+    chan->Close();
+  });
 }
 
-void StreamingBatcher::StopPipeline() {
+void StreamingBatcher::StopGather() {
   if (channel_ != nullptr) {
     channel_->Cancel();
     worker_.Join();
     channel_.reset();
   }
-  next_pipeline_visit_ = 0;
-  current_ = DecodedShard{};
-  current_visit_ = 0;
+  sync_gather_.reset();
 }
 
 void StreamingBatcher::Fail(const std::string& message) {
   failed_ = true;
   error_ = message;
-  StopPipeline();
-}
-
-bool StreamingBatcher::EnsureVisit(std::size_t v) {
-  if (current_.shard_index >= 0 && current_visit_ == v) return true;
-
-  if (prefetch_depth_ <= 0) {
-    // Synchronous mode: decode on the consumer thread; zero concurrency
-    // (required when the file system is a FaultInjectingFileSystem, whose
-    // open counter is not thread-safe).
-    DecodedShard d;
-    d.shard_index = visits_[v];
-    d.ok = dataset_->ReadShard(d.shard_index, &d.rows, &d.error);
-    if (!d.ok) {
-      Fail(d.error);
-      return false;
-    }
-    current_ = std::move(d);
-    current_visit_ = v;
-    ++shards_decoded_;
-    return true;
-  }
-
-  if (channel_ == nullptr || next_pipeline_visit_ != v) {
-    // (Re)start the pipeline at visit v. The worker reads only value
-    // snapshots (its slice of the visit list) and the immutable dataset;
-    // the channel is the sole shared object.
-    StopPipeline();
-    channel_ = std::make_unique<core::BoundedChannel<DecodedShard>>(
-        static_cast<std::size_t>(prefetch_depth_));
-    core::BoundedChannel<DecodedShard>* chan = channel_.get();
-    const StreamingDataset* dataset = dataset_;
-    std::vector<int> visits(visits_.begin() + static_cast<std::ptrdiff_t>(v),
-                            visits_.end());
-    worker_ = core::WorkerThread([chan, dataset, visits = std::move(visits)] {
-      for (const int shard : visits) {
-        DecodedShard d;
-        d.shard_index = shard;
-        d.ok = dataset->ReadShard(shard, &d.rows, &d.error);
-        const bool decoded_ok = d.ok;
-        if (!chan->Push(std::move(d))) return;  // consumer cancelled
-        if (!decoded_ok) return;  // failure delivered; stop producing
-      }
-      chan->Close();
-    });
-    next_pipeline_visit_ = v;
-  }
-
-  DecodedShard d;
-  if (!channel_->Pop(&d)) {
-    Fail(dataset_->dir() + ": prefetch pipeline ended unexpectedly");
-    return false;
-  }
-  ++next_pipeline_visit_;
-  if (!d.ok) {
-    Fail(d.error);
-    return false;
-  }
-  if (d.shard_index != visits_[v]) {
-    Fail(dataset_->dir() + ": prefetch delivered out-of-order shard");
-    return false;
-  }
-  current_ = std::move(d);
-  current_visit_ = v;
-  ++shards_decoded_;
-  return true;
+  StopGather();
 }
 
 bool StreamingBatcher::Next(Batch* batch) {
@@ -222,44 +235,35 @@ bool StreamingBatcher::Next(Batch* batch) {
     return false;
   }
   if (!fresh_epoch_ && cursor_ == 0) {
-    // Lazy epoch start: drop the previous epoch's decode state, reshuffle.
-    StopPipeline();
+    // Lazy epoch start: drop the previous epoch's gather, reshuffle.
+    StopGather();
     ShuffleIfNeeded();
     fresh_epoch_ = true;
   }
-  const int count = static_cast<int>(
-      std::min<std::int64_t>(batch_size_, size() - cursor_));
-  const std::vector<std::int64_t>& offsets = dataset_->ShardRowOffsets();
-  BatchBuilder builder(schema(), count);
-  for (int i = 0; i < count; ++i) {
-    const std::int64_t pos = cursor_ + i;
-    std::size_t v;
-    if (current_.shard_index >= 0) {
-      v = current_visit_;
-    } else {
-      // No shard resident (epoch start or post-restore): locate the visit
-      // containing this order position.
-      v = static_cast<std::size_t>(
-          std::upper_bound(visit_starts_.begin(), visit_starts_.end(), pos) -
-          visit_starts_.begin() - 1);
-    }
-    while (pos >= visit_starts_[v + 1]) ++v;
-    if (!EnsureVisit(v)) return false;
-    const std::int64_t global = order_[static_cast<std::size_t>(pos)];
-    const std::int64_t base = offsets[static_cast<std::size_t>(visits_[v])];
-    builder.Add(current_.rows[static_cast<std::size_t>(global - base)]);
+  if (sync_gather_ == nullptr && channel_ == nullptr) StartGather();
+  Gathered item;
+  const bool got = sync_gather_ != nullptr ? sync_gather_->Next(&item)
+                                           : channel_->Pop(&item);
+  if (!got) {
+    Fail(dataset_->dir() + ": prefetch pipeline ended unexpectedly");
+    return false;
   }
-  *batch = builder.Finish();
-  cursor_ += count;
+  if (!item.error.empty()) {
+    Fail(item.error);
+    return false;
+  }
+  shards_decoded_ += item.shards_decoded;
+  *batch = std::move(item.batch);
+  cursor_ += batch->size;
   return true;
 }
 
 void StreamingBatcher::Rewind() {
   cursor_ = 0;
   fresh_epoch_ = true;
-  // Replay the same order from the top; the resident shard (if any) belongs
-  // to an arbitrary mid-epoch visit, so restart decoding from visit 0.
-  StopPipeline();
+  // Replay the same order from the top; a running gather is somewhere
+  // mid-epoch, so the next Next() starts a new one at cursor 0.
+  StopGather();
 }
 
 std::int64_t StreamingBatcher::batches_per_epoch() const {
@@ -280,23 +284,14 @@ bool StreamingBatcher::RestoreState(const BatcherState& state) {
   for (const std::int64_t idx : state.order) {
     if (idx < 0 || idx >= size()) return false;
   }
-  // All-or-nothing: derive the visit structure on the candidate order and
-  // roll back wholesale if it is not shard-sequential.
-  std::vector<std::int64_t> saved_order = std::move(order_);
-  std::vector<int> saved_visits = std::move(visits_);
-  std::vector<std::int64_t> saved_starts = std::move(visit_starts_);
+  // All-or-nothing: a foreign order leaves the live state untouched.
+  if (!IsShardSequential(state.order, dataset_->ShardRowOffsets())) return false;
+  StopGather();
   order_ = state.order;
-  if (!DeriveVisits()) {
-    order_ = std::move(saved_order);
-    visits_ = std::move(saved_visits);
-    visit_starts_ = std::move(saved_starts);
-    return false;
-  }
   cursor_ = state.cursor;
   fresh_epoch_ = state.fresh_epoch;
   failed_ = false;
   error_.clear();
-  StopPipeline();
   return true;
 }
 

@@ -3,18 +3,19 @@
 
 // Out-of-core streaming data path (DESIGN.md §15): a StreamingDataset is a
 // shard directory opened through its manifest, and a StreamingBatcher is a
-// BatchSource that trains from it while holding at most
-// 1 (current) + prefetch_depth decoded shards in memory.
+// BatchSource that trains from it. A decoded shard stays in columns
+// (ShardColumns), and batches are gathered from it by row index.
 //
 // Determinism contract: the epoch order is ShardedEpochOrder(shard rows,
 // rng) — identical to an in-RAM Batcher constructed with the same shard
-// plan and the same Rng — so the streaming and in-RAM paths emit
-// bit-identical batch sequences, and BatcherState saved from one restores
-// into the other. The prefetch thread only ever reads immutable inputs (the
-// manifest, the epoch's visit list snapshot, the stateless file system);
-// all mutable batcher state stays on the consumer thread, which is why
-// SaveState() racing an in-flight prefetch is benign (see
-// tests/tsan_stress_test.cc).
+// plan and the same Rng — and both gather through GatherRows, so the
+// streaming and in-RAM paths emit bit-identical batch sequences, and
+// BatcherState saved from one restores into the other. The prefetch worker
+// decodes shards and gathers whole batches; it reads only inputs that stay
+// fixed while it runs (the manifest, the epoch order, the stateless file
+// system) and hands finished batches over the channel. The epoch reshuffle, the Rng
+// and the cursor stay on the consumer thread, which is why SaveState()
+// racing an in-flight prefetch is benign (see tests/tsan_stress_test.cc).
 
 #include <cstdint>
 #include <memory>
@@ -63,7 +64,7 @@ class StreamingDataset {
   const std::vector<std::int64_t>& ShardRowOffsets() const { return offsets_; }
 
   /// Decodes and validates one shard. Fail-closed; thread-safe.
-  bool ReadShard(int shard_index, std::vector<Example>* rows,
+  bool ReadShard(int shard_index, ShardColumns* columns,
                  std::string* error) const;
 
   /// Decodes every shard into one in-RAM Dataset (equivalence tests, small
@@ -82,9 +83,13 @@ class StreamingDataset {
 /// format and RestoreState validation mirror the in-RAM Batcher exactly;
 /// the additional constraint is that a restored order must be
 /// shard-sequential (which every order this class or a shard-plan Batcher
-/// produces is). `prefetch_depth` > 0 runs one background thread decoding
-/// up to that many shards ahead; 0 decodes synchronously on the consumer
-/// thread (no concurrency at all — required when fs is fault-injecting).
+/// produces is). `prefetch_depth` > 0 runs one background thread that
+/// decodes each shard once, in visit order, and gathers finished batches up
+/// to `prefetch_depth` shards' worth ahead, so Next() only pops one. Resident
+/// memory is the worker's one decoded shard of columns plus those queued
+/// batches: 1 + prefetch_depth shards, whatever the dataset size. 0 runs the
+/// same decode and gather synchronously on the consumer thread (no
+/// concurrency at all — required when fs is fault-injecting).
 class StreamingBatcher : public BatchSource {
  public:
   StreamingBatcher(const StreamingDataset* dataset, int batch_size, Rng* rng,
@@ -105,25 +110,27 @@ class StreamingBatcher : public BatchSource {
   bool ok() const override { return !failed_; }
   std::string error() const override { return error_; }
 
-  /// Number of shard decodes performed so far (both paths), for tests that
-  /// assert prefetch actually streams rather than re-decoding per batch.
+  /// Number of shard decodes behind the batches delivered so far (both
+  /// paths), for tests that assert the stream decodes each shard once per
+  /// epoch rather than re-reading per batch.
   std::int64_t shards_decoded() const { return shards_decoded_; }
 
  private:
-  struct DecodedShard {
-    int shard_index = -1;
-    bool ok = false;
-    std::string error;
-    std::vector<Example> rows;
+  class Gather;
+  /// One unit of the hand-over: a finished batch, or the read error that
+  /// ended the stream.
+  struct Gathered {
+    Batch batch;
+    std::string error;  // non-empty: a shard failed to read
+    std::int64_t shards_decoded = 0;  // decodes this batch needed
   };
 
   void ShuffleIfNeeded();
-  /// Derives visits_/visit_starts_ from order_; false if order_ is not
-  /// shard-sequential.
-  bool DeriveVisits();
-  void StopPipeline();
-  /// Makes current_ the decoded shard for visit `v` (consumer thread only).
-  bool EnsureVisit(std::size_t v);
+  /// Starts gathering the current order from cursor_: on a worker thread,
+  /// or synchronously at prefetch depth 0.
+  void StartGather();
+  /// Stops and drops the gather, joining the worker if there is one.
+  void StopGather();
   void Fail(const std::string& message);
 
   const StreamingDataset* dataset_;
@@ -132,26 +139,18 @@ class StreamingBatcher : public BatchSource {
   int prefetch_depth_;
 
   // Epoch state — identical semantics to Batcher's fields of the same name.
+  // A running gather reads order_, so it changes only after StopGather.
   std::vector<std::int64_t> order_;
   std::int64_t cursor_ = 0;
   bool fresh_epoch_ = true;
 
-  // The epoch order's shard structure: visits_[v] is the v-th distinct
-  // shard, visit_starts_[v] the order_ position where its run begins
-  // (visit_starts_ has visits_.size() + 1 entries; back() == size()).
-  std::vector<int> visits_;
-  std::vector<std::int64_t> visit_starts_;
-
-  // Consumer-side decode state.
-  DecodedShard current_;
-  std::size_t current_visit_ = 0;  // valid iff current_.shard_index >= 0
-
-  // Prefetch pipeline. The worker owns a value snapshot of the visit list;
-  // the channel is the only shared object, and StopPipeline (Cancel + join)
-  // runs before the channel is destroyed.
-  std::unique_ptr<core::BoundedChannel<DecodedShard>> channel_;
+  // At most one gather runs, and it produces batches starting at cursor_.
+  // Synchronous (depth 0) or on the worker, which shares only the channel
+  // with this thread; StopGather (Cancel + join) runs before the channel is
+  // destroyed.
+  std::unique_ptr<Gather> sync_gather_;
+  std::unique_ptr<core::BoundedChannel<Gathered>> channel_;
   core::WorkerThread worker_;
-  std::size_t next_pipeline_visit_ = 0;  // first visit NOT yet claimed by a pipeline
 
   bool failed_ = false;
   std::string error_;

@@ -154,14 +154,15 @@ ContinualResult ContinualLoop::Run() {
                      src.c_str(), error.c_str());
         std::abort();
       }
-      std::vector<data::Example> rows;
+      data::ShardColumns columns;
       for (int s = 0; s < source.num_shards(); ++s) {
-        if (!source.ReadShard(s, &rows, &error)) {
+        if (!source.ReadShard(s, &columns, &error)) {
           std::fprintf(stderr, "[continual] cannot read log %s: %s\n",
                        src.c_str(), error.c_str());
           std::abort();
         }
-        for (data::Example row : rows) {
+        for (std::int64_t r = 0; r < columns.size(); ++r) {
+          data::Example row = columns.Row(r);
           if (log_day >= 0) {
             const bool eventual = row.conversion != 0;
             const bool matured =

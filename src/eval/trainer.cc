@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <tuple>
 
 #include "core/obs.h"
 #include "data/batcher.h"
@@ -325,20 +326,21 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
 TrainHistory Train(models::MultiTaskModel* model, const data::Dataset& train,
                    const TrainConfig& config) {
   // Optional validation split from the tail (chronological-style holdout).
-  data::Dataset fit_split = train;
+  // Without one the batcher reads `train` itself, not a copy.
+  const data::Dataset* fit = &train;
+  data::Dataset fit_split;
   data::Dataset val_split;
   if (config.validation_fraction > 0.0 && config.validation_fraction < 1.0) {
     const std::int64_t head =
         train.size() -
         static_cast<std::int64_t>(static_cast<double>(train.size()) *
                                   config.validation_fraction);
-    auto [fit, val] = train.SplitAt(head);
-    fit_split = std::move(fit);
-    val_split = std::move(val);
+    std::tie(fit_split, val_split) = train.SplitAt(head);
+    fit = &fit_split;
   }
 
   Rng shuffle_rng(config.seed);
-  data::Batcher batcher(&fit_split, config.batch_size, &shuffle_rng);
+  data::Batcher batcher(fit, config.batch_size, &shuffle_rng);
   return TrainLoop(model, &batcher, &shuffle_rng, config,
                    val_split.empty() ? nullptr : &val_split);
 }

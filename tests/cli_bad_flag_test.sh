@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # A batch size, queue bound or embedding width below 1 given to dcmt_cli
 # fails closed: the command exits 2 naming the flag, as a value that does
-# not parse does, never with a library abort (exit 134).
+# not parse does, never with a library abort (exit 134). So does a trainer
+# setting that would train nothing or diverge (an epoch count below 1, a
+# learning rate that is not positive and finite, a validation fraction
+# outside [0, 1)), and no such run writes its --ckpt.
 #
 # Usage: tests/cli_bad_flag_test.sh path/to/dcmt_cli
 set -u
@@ -19,9 +22,12 @@ expect_exit_2() {  # name, flag, command...
     echo "FAIL $name: exit $code, expected 2"; cat "$DIR/err.txt"; status=1
   elif ! grep -q -- "invalid value for $flag:" "$DIR/err.txt"; then
     echo "FAIL $name: stderr does not name $flag"; cat "$DIR/err.txt"; status=1
+  elif [[ -e "$DIR/model.bin" ]]; then
+    echo "FAIL $name: wrote --ckpt"; status=1
   else
     echo "ok   $name"
   fi
+  rm -f "$DIR/model.bin"
 }
 
 printf '%s\n%s\n' \
@@ -45,6 +51,20 @@ for cmd in serve-bench router-bench; do
 done
 expect_exit_2 "continual --batch=0" --batch \
   "$CLI" continual --work-dir="$DIR/continual" --threads=1 --batch=0
+for v in 0 -1; do
+  expect_exit_2 "train --epochs=$v" --epochs "$CLI" "${TRAIN[@]}" --epochs="$v"
+  expect_exit_2 "continual --epochs=$v" --epochs \
+    "$CLI" continual --work-dir="$DIR/continual" --threads=1 --epochs="$v"
+done
+for v in 0 -1 nan inf; do
+  expect_exit_2 "train --lr=$v" --lr "$CLI" "${TRAIN[@]}" --lr="$v"
+  expect_exit_2 "continual --lr=$v" --lr \
+    "$CLI" continual --work-dir="$DIR/continual" --threads=1 --lr="$v"
+done
+for v in 1.5 1 -0.1 nan; do
+  expect_exit_2 "train --val-fraction=$v" --val-fraction \
+    "$CLI" "${TRAIN[@]}" --val-fraction="$v"
+done
 
 # The smallest accepted value still runs.
 if ! "$CLI" check-graph --model=dcmt --batch=1 > "$DIR/out.txt" 2>&1; then

@@ -533,14 +533,13 @@ TEST(ContinualShardTest, ByteFlipFuzzerEveryOffsetRejectedWithLagColumn) {
 
   const std::string shard_path = dir + "/" + data::ShardFileName(0);
   const std::string shard_image = ReadFileOrDie(shard_path);
-  std::vector<data::Example> rows;
+  data::ShardColumns rows;
   ASSERT_TRUE(dataset.ReadShard(0, &rows, &error)) << error;
 
   for (std::size_t i = 0; i < shard_image.size(); ++i) {
     std::string mutated = shard_image;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
     WriteFileOrDie(shard_path, mutated);
-    rows.clear();
     error.clear();
     EXPECT_FALSE(dataset.ReadShard(0, &rows, &error))
         << "flip at shard byte " << i << " decoded anyway";

@@ -2,10 +2,12 @@
 //   * golden equivalence — a shard directory materializes to exactly the
 //     rows Generate() would produce, and a StreamingBatcher emits the same
 //     batch sequence bit-for-bit as an in-RAM Batcher built with the shard
-//     plan, across epochs, prefetch depths, ragged final shards and ragged
-//     final batches;
+//     plan, across epochs, prefetch depths, ragged final shards, ragged
+//     final batches and batches that straddle shards; decoded shard columns
+//     round-trip every encoded column;
 //   * state interop — BatcherState saved mid-epoch on either path restores
-//     into the other, and a training run killed mid-shard resumes
+//     into the other (also while the prefetch worker is batches ahead of
+//     the consumer), and a training run killed mid-shard resumes
 //     bit-exactly (including crash-on-stream / resume-in-RAM);
 //   * fail-closed reading — torn shard writes, in-flight byte flips,
 //     truncation, and a byte-flip fuzzer over every offset of a shard and
@@ -104,6 +106,19 @@ data::StreamingDataset OpenOrDie(const std::string& dir,
   return dataset;
 }
 
+/// Shard `shard` of `dataset`, decoded and turned into rows.
+std::vector<data::Example> ReadRowsOrDie(const data::StreamingDataset& dataset,
+                                         int shard) {
+  data::ShardColumns columns;
+  std::string error;
+  EXPECT_TRUE(dataset.ReadShard(shard, &columns, &error)) << error;
+  std::vector<data::Example> rows;
+  for (std::int64_t r = 0; r < columns.size(); ++r) {
+    rows.push_back(columns.Row(r));
+  }
+  return rows;
+}
+
 void ExpectExamplesEqual(const data::Example& a, const data::Example& b) {
   EXPECT_EQ(a.deep_ids, b.deep_ids);
   EXPECT_EQ(a.wide_ids, b.wide_ids);
@@ -116,6 +131,7 @@ void ExpectExamplesEqual(const data::Example& a, const data::Example& b) {
   EXPECT_EQ(a.true_cvr, b.true_cvr);
   EXPECT_EQ(a.user_index, b.user_index);
   EXPECT_EQ(a.item_index, b.item_index);
+  EXPECT_EQ(a.convert_lag_days, b.convert_lag_days);
 }
 
 void ExpectBatchesEqual(const data::Batch& a, const data::Batch& b) {
@@ -212,6 +228,110 @@ TEST(StreamTest, StreamingMatchesInRamBatcherAcrossEpochsAndDepths) {
   }
 }
 
+TEST(StreamTest, BatchesStraddlingShardsMatchInRamBatcher) {
+  // 100-row shards: a 64-row batch straddles two shards every few batches,
+  // and a 256-row batch spans three. The worker gathers each such batch in
+  // pieces from consecutive resident shards.
+  const std::string dir = GenShardsOrDie("golden_straddle", 1000, 100);
+  const data::StreamingDataset streaming = OpenOrDie(dir);
+  data::Dataset materialized;
+  std::string error;
+  ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+  const std::vector<std::int64_t>& offsets = streaming.ShardRowOffsets();
+  const auto shard_of = [&](std::int64_t global) {
+    return std::upper_bound(offsets.begin(), offsets.end(), global) -
+           offsets.begin();
+  };
+
+  for (const int batch_rows : {64, 256}) {
+    SCOPED_TRACE(batch_rows);
+    Rng ram_rng(29);
+    data::Batcher ram(&materialized, batch_rows, &ram_rng,
+                      streaming.ShardRowCounts());
+    const data::BatcherState first_epoch = ram.SaveState();
+    const std::vector<data::Batch> golden = CollectEpochs(&ram, 2);
+
+    int straddles = 0;
+    for (std::size_t b = 0; b < first_epoch.order.size();
+         b += static_cast<std::size_t>(batch_rows)) {
+      const std::size_t last =
+          std::min(first_epoch.order.size(), b + batch_rows) - 1;
+      if (shard_of(first_epoch.order[b]) != shard_of(first_epoch.order[last])) {
+        ++straddles;
+      }
+    }
+    EXPECT_GT(straddles, 0);
+
+    for (const int depth : {0, 1, 2, 8}) {
+      Rng stream_rng(29);
+      data::StreamingBatcher batcher(&streaming, batch_rows, &stream_rng, depth);
+      const std::vector<data::Batch> got = CollectEpochs(&batcher, 2);
+      ASSERT_EQ(got.size(), golden.size()) << "prefetch depth " << depth;
+      for (std::size_t i = 0; i < golden.size(); ++i) {
+        ExpectBatchesEqual(got[i], golden[i]);
+      }
+      EXPECT_EQ(batcher.shards_decoded(), 2 * streaming.num_shards())
+          << "prefetch depth " << depth;
+    }
+  }
+}
+
+TEST(StreamTest, ShardColumnsRoundTripEveryEncodedColumn) {
+  data::SyntheticLogGenerator generator(StreamProfile());
+  const data::Dataset drawn = generator.Generate(300, /*stream=*/3);
+  // Distinct user, item and lag values on every row, so a column decoded
+  // into the wrong place (or not at all) cannot go unnoticed.
+  std::vector<data::Example> rows = drawn.examples();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r].user_index = static_cast<std::int32_t>(1000 + r);
+    rows[r].item_index = static_cast<std::int32_t>(5000 + 3 * r);
+    rows[r].convert_lag_days = static_cast<std::int32_t>(r % 7);
+  }
+  const data::FeatureSchema& schema = drawn.schema();
+  const std::string dir = TempDirFor("columns_roundtrip");
+  const std::string path = dir + "/" + data::ShardFileName(0);
+  WriteFileOrDie(path, data::EncodeShardImage(schema, 0, rows));
+
+  data::ShardManifest manifest;
+  manifest.schema = schema;
+  manifest.schema_fingerprint = data::FingerprintSchema(schema);
+  data::ShardInfo info;
+  info.file = data::ShardFileName(0);
+  info.rows = static_cast<std::int64_t>(rows.size());
+  for (const data::Example& e : rows) {
+    info.clicks += e.click;
+    info.conversions += e.conversion;
+    info.oracle_conversions += e.oracle_conversion;
+  }
+  manifest.shards.push_back(info);
+
+  data::ShardColumns columns;
+  std::string error;
+  ASSERT_TRUE(data::ReadShardFile(nullptr, path, manifest, 0, &columns, &error))
+      << error;
+  ASSERT_EQ(columns.size(), static_cast<std::int64_t>(rows.size()));
+  ASSERT_EQ(columns.deep_ids.size(), schema.deep_fields.size());
+  ASSERT_EQ(columns.wide_ids.size(), schema.wide_fields.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const data::Example& e = rows[r];
+    for (std::size_t f = 0; f < columns.deep_ids.size(); ++f) {
+      EXPECT_EQ(columns.deep_ids[f][r], e.deep_ids[f]);
+    }
+    for (std::size_t f = 0; f < columns.wide_ids.size(); ++f) {
+      EXPECT_EQ(columns.wide_ids[f][r], e.wide_ids[f]);
+    }
+    EXPECT_EQ(columns.click[r], e.click);
+    EXPECT_EQ(columns.conversion[r], e.conversion);
+    EXPECT_EQ(columns.oracle_conversion[r], e.oracle_conversion);
+    EXPECT_EQ(columns.true_ctr[r], e.true_ctr);
+    EXPECT_EQ(columns.true_cvr[r], e.true_cvr);
+    EXPECT_EQ(columns.user_index[r], e.user_index);
+    EXPECT_EQ(columns.item_index[r], e.item_index);
+    EXPECT_EQ(columns.convert_lag_days[r], e.convert_lag_days);
+    ExpectExamplesEqual(columns.Row(static_cast<std::int64_t>(r)), e);
+  }
+}
+
 TEST(StreamTest, EachShardDecodedOncePerEpoch) {
   const std::string dir = GenShardsOrDie("golden_decodes", 1000, 192);
   const data::StreamingDataset streaming = OpenOrDie(dir);
@@ -267,6 +387,43 @@ TEST(StreamTest, MidEpochStateRestoresAcrossStreamingInstances) {
   ASSERT_EQ(rest_a.size(), rest_b.size());
   for (std::size_t i = 0; i < rest_a.size(); ++i) {
     ExpectBatchesEqual(rest_a[i], rest_b[i]);
+  }
+}
+
+TEST(StreamTest, StateSavedWhileWorkerIsAheadRestoresIntoBothPaths) {
+  // Deep prefetch over small shards: by the time the consumer saves, the
+  // worker has gathered batches past the cursor. The saved state must name
+  // the consumer's position, not the worker's.
+  const std::string dir = GenShardsOrDie("state_ahead", 1000, 100);
+  const data::StreamingDataset streaming = OpenOrDie(dir);
+  data::Dataset materialized;
+  std::string error;
+  ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+
+  Rng rng_a(37);
+  data::StreamingBatcher a(&streaming, 64, &rng_a, /*prefetch_depth=*/8);
+  data::Batch batch;
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(a.Next(&batch));
+  // Let the worker run ahead to its bound before the save.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const data::BatcherState saved = a.SaveState();
+  ASSERT_EQ(saved.cursor, 5 * 64);
+
+  Rng rng_b(37);
+  data::StreamingBatcher b(&streaming, 64, &rng_b, /*prefetch_depth=*/2);
+  ASSERT_TRUE(b.RestoreState(saved));
+  Rng rng_c(37);
+  data::Batcher c(&materialized, 64, &rng_c, streaming.ShardRowCounts());
+  ASSERT_TRUE(c.RestoreState(saved));
+
+  const std::vector<data::Batch> rest_a = CollectEpochs(&a, 2);
+  const std::vector<data::Batch> rest_b = CollectEpochs(&b, 2);
+  const std::vector<data::Batch> rest_c = CollectEpochs(&c, 2);
+  ASSERT_EQ(rest_a.size(), rest_b.size());
+  ASSERT_EQ(rest_a.size(), rest_c.size());
+  for (std::size_t i = 0; i < rest_a.size(); ++i) {
+    ExpectBatchesEqual(rest_b[i], rest_a[i]);
+    ExpectBatchesEqual(rest_c[i], rest_a[i]);
   }
 }
 
@@ -547,7 +704,7 @@ TEST(StreamTest, InFlightByteFlipIsRejectedOnRead) {
   // read, the corruption must never decode. (The manifest is small enough
   // that offset 512 only ever lands in shard files.)
   if (data::StreamingDataset::Open(dir, {}, &dataset, &error)) {
-    std::vector<data::Example> rows;
+    data::ShardColumns rows;
     EXPECT_FALSE(dataset.ReadShard(0, &rows, &error));
     EXPECT_FALSE(error.empty());
 
@@ -568,7 +725,7 @@ TEST(StreamTest, TruncatedFinalShardIsRejected) {
   WriteFileOrDie(last, image.substr(0, image.size() - 7));
 
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  std::vector<data::Example> rows;
+  data::ShardColumns rows;
   std::string error;
   EXPECT_FALSE(dataset.ReadShard(5, &rows, &error));
   EXPECT_NE(error.find("malformed"), std::string::npos) << error;
@@ -594,7 +751,7 @@ TEST(StreamTest, ShardSwapAcrossIndicesIsRejected) {
   const std::string a = ReadFileOrDie(dir + "/" + data::ShardFileName(1));
   WriteFileOrDie(dir + "/" + data::ShardFileName(2), a);
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  std::vector<data::Example> rows;
+  data::ShardColumns rows;
   std::string error;
   EXPECT_FALSE(dataset.ReadShard(2, &rows, &error));
   // Shard 1 itself still reads fine.
@@ -609,7 +766,7 @@ TEST(StreamTest, ByteFlipFuzzerEveryOffsetRejectedShardAndManifest) {
 
   const std::string shard_path = dir + "/" + data::ShardFileName(0);
   const std::string shard_image = ReadFileOrDie(shard_path);
-  std::vector<data::Example> rows;
+  data::ShardColumns rows;
   std::string error;
   ASSERT_TRUE(dataset.ReadShard(0, &rows, &error)) << error;
 
@@ -617,7 +774,6 @@ TEST(StreamTest, ByteFlipFuzzerEveryOffsetRejectedShardAndManifest) {
     std::string mutated = shard_image;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
     WriteFileOrDie(shard_path, mutated);
-    rows.clear();
     error.clear();
     // Reject-or-exact: a single flipped bit is never bit-exact, so every
     // offset must be rejected — magic, version, type, length, payload, CRC.
@@ -717,9 +873,8 @@ TEST(StreamTest, ValidCrcShardWithBadValueIsRejected) {
   const std::string victim = dir + "/" + data::ShardFileName(1);
   const std::string original = ReadFileOrDie(victim);
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  std::vector<data::Example> clean;
+  const std::vector<data::Example> clean = ReadRowsOrDie(dataset, 1);
   std::string error;
-  ASSERT_TRUE(dataset.ReadShard(1, &clean, &error)) << error;
 
   for (const BadValueCase& c : BadValueCases(dataset.schema())) {
     SCOPED_TRACE(c.name);
@@ -728,11 +883,12 @@ TEST(StreamTest, ValidCrcShardWithBadValueIsRejected) {
     WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
     const std::string want = victim + ": " + c.column + ": " + c.what;
 
-    std::vector<data::Example> decoded;
+    data::ShardColumns decoded;
     EXPECT_FALSE(data::ReadShardFile(nullptr, victim, dataset.manifest(), 1,
                                      &decoded, &error));
     EXPECT_EQ(error.rfind(want, 0), 0u) << error;
-    EXPECT_TRUE(decoded.empty());
+    EXPECT_EQ(decoded.size(), 0);
+    EXPECT_TRUE(decoded.deep_ids.empty());
 
     for (const int depth : {0, 2}) {
       Rng rng(13);
@@ -749,16 +905,15 @@ TEST(StreamTest, ValidCrcShardWithBadValueIsRejected) {
     EXPECT_EQ(error.rfind(want, 0), 0u) << error;
   }
   WriteFileOrDie(victim, original);
-  EXPECT_TRUE(dataset.ReadShard(1, &clean, &error)) << error;
+  data::ShardColumns restored;
+  EXPECT_TRUE(dataset.ReadShard(1, &restored, &error)) << error;
 }
 
 TEST(StreamTest, TrainerAbortNamesTheBadShard) {
   const std::string dir = GenShardsOrDie("bad_value_train", 600, 192);
   const std::string victim = dir + "/" + data::ShardFileName(1);
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  std::vector<data::Example> rows;
-  std::string error;
-  ASSERT_TRUE(dataset.ReadShard(1, &rows, &error)) << error;
+  std::vector<data::Example> rows = ReadRowsOrDie(dataset, 1);
   rows[3].deep_ids.back() = 1 << 20;
   WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
 

@@ -111,13 +111,38 @@ int Usage() {
   return 2;
 }
 
-/// The int value of --`name`, which must be at least 1 (a batch size, a
-/// queue bound or a width). Anything smaller exits 2 the way a value that does not
+/// The int value of --`name`, which must be at least 1 (an epoch count, a
+/// batch size, a queue bound or a width). Anything smaller exits 2 the way a value that does not
 /// parse does, instead of reaching a library abort.
 int PositiveIntFlag(const eval::Flags& flags, const std::string& name) {
   const int value = flags.GetInt(name);
   if (value < 1) {
     std::fprintf(stderr, "invalid value for --%s: '%s' (must be at least 1)\n",
+                 name.c_str(), flags.Get(name).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+/// The double value of --`name`, which must be positive and finite (a
+/// learning rate). Zero, a negative value, nan and inf exit 2.
+double PositiveFiniteFlag(const eval::Flags& flags, const std::string& name) {
+  const double value = flags.GetDouble(name);
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    std::fprintf(stderr,
+                 "invalid value for --%s: '%s' (must be positive and finite)\n",
+                 name.c_str(), flags.Get(name).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+/// The double value of --`name`, which must lie in [0, 1) (a held-out
+/// fraction). Anything else, nan included, exits 2.
+double FractionFlag(const eval::Flags& flags, const std::string& name) {
+  const double value = flags.GetDouble(name);
+  if (!(value >= 0.0 && value < 1.0)) {
+    std::fprintf(stderr, "invalid value for --%s: '%s' (must be in [0, 1))\n",
                  name.c_str(), flags.Get(name).c_str());
     std::exit(2);
   }
@@ -287,11 +312,11 @@ int TrainCmd(int argc, char** argv) {
   ApplyObsFlags(flags);
 
   eval::TrainConfig config;
-  config.epochs = flags.GetInt("epochs");
+  config.epochs = PositiveIntFlag(flags, "epochs");
   config.batch_size = PositiveIntFlag(flags, "batch");
-  config.learning_rate = static_cast<float>(flags.GetDouble("lr"));
+  config.learning_rate = static_cast<float>(PositiveFiniteFlag(flags, "lr"));
   config.weight_decay = static_cast<float>(flags.GetDouble("weight-decay"));
-  config.validation_fraction = flags.GetDouble("val-fraction");
+  config.validation_fraction = FractionFlag(flags, "val-fraction");
   config.early_stopping_patience = flags.GetInt("patience");
   config.verbose = true;
   config.halt_after_steps = flags.GetInt("steps");
@@ -907,9 +932,9 @@ int ContinualCmd(int argc, char** argv) {
       static_cast<float>(flags.GetDouble("drift"));
   base.variant = flags.Get("model");
   base.model = ModelConfigFromFlags(flags);
-  base.train.epochs = flags.GetInt("epochs");
+  base.train.epochs = PositiveIntFlag(flags, "epochs");
   base.train.batch_size = PositiveIntFlag(flags, "batch");
-  base.train.learning_rate = static_cast<float>(flags.GetDouble("lr"));
+  base.train.learning_rate = static_cast<float>(PositiveFiniteFlag(flags, "lr"));
   base.train.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   base.pretrain_exposures = std::max<std::int64_t>(1, flags.GetInt("pretrain"));
   base.intra_day_segments = std::max(2, flags.GetInt("segments"));

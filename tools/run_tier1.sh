@@ -50,13 +50,15 @@ fi
 # Race detection: the concurrency-heavy suites under ThreadSanitizer — the
 # pool stress and determinism suites, obs, the optimizers (the clip norm and
 # Adam fan out over the pool), the serving engine (dispatcher/submitter
-# edges) and the router (hot-swap double buffer, shard caches). TSan is
-# incompatible with ASan, so it gets its own tree. Skippable
-# (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
+# edges), the router (hot-swap double buffer, shard caches) and the stream
+# suite (the prefetch worker decodes shards and gathers batches, label
+# tensors included, while the consumer trains). TSan is incompatible with
+# ASan, so it gets its own tree. Skippable (DCMT_SKIP_TSAN=1) — the
+# instrumented run is the slowest stage.
 if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
   sanitized_ctest tsan thread \
-    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test" \
-    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing'
+    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test stream_test" \
+    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing|StreamTest|PrefetchTest'
   echo "tsan stage OK"
 fi
 
