@@ -7,7 +7,9 @@
 // overhead is per *op*, not per row, so the comparison is run at two batch
 // sizes: 32 rows (partial-batch scale, where the per-op saving is a
 // measurable fraction of the batch) and 256 rows (the engine's default
-// max_batch, where kernel time dominates and the two paths converge). The engine benchmark adds the
+// max_batch, where kernel time dominates and the two paths converge).
+// BM_ScoreRowsFrozen times the frozen forward alone at the 1-8 rows a
+// served batch actually holds. The engine benchmark adds the
 // micro-batcher's queue + future overhead on top so the full
 // Submit→Score→fulfill path has a tracked number too. All entries fold into
 // BENCH_engine.json via tools/bench_to_json.
@@ -87,6 +89,21 @@ void BM_ScoreBatchFrozen(benchmark::State& state) {
   ScoreFrozen(state, kFullRows);
 }
 BENCHMARK(BM_ScoreBatchFrozen)->UseRealTime();
+
+/// The batch sizes the serving engine actually sees: a work-conserving
+/// dispatcher flushes whatever is queued, 1-2 rows on average under
+/// e2ebench's serve_open load. At this size the forward's fixed per-layer
+/// costs, not its multiply-adds, set the latency.
+void BM_ScoreRowsFrozen(benchmark::State& state) {
+  ScoreFrozen(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_ScoreRowsFrozen)
+    ->ArgName("rows")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 /// Full engine path: per-row Submit into the micro-batcher, bulk-waited.
 /// Measures queue/future overhead on top of the frozen forward.

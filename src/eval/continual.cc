@@ -240,6 +240,11 @@ ContinualResult ContinualLoop::Run() {
                                    &shuffle_rng, config_.prefetch_depth);
     *history = TrainFromSource(model.get(), &batcher, &shuffle_rng,
                                train_config);
+    if (!history->error.empty()) {
+      std::fprintf(stderr, "[continual] refresh %d diverged: %s\n",
+                   retrain_index, history->error.c_str());
+      std::abort();
+    }
     result.total_steps += history->steps;
     if (train_config.halt_after_steps > 0 &&
         history->steps >= train_config.halt_after_steps) {

@@ -1,6 +1,7 @@
 #include "eval/trainer.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -204,6 +205,19 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
         }
       }
 #endif
+      const double step_loss = static_cast<double>(loss.item());
+      if (!std::isfinite(step_loss)) {
+        // Backward and Adam would carry the non-finite value into every
+        // parameter: stop before either runs, and before any checkpoint.
+        if (config.record_step_loss) history.step_loss.push_back(step_loss);
+        char what[96];
+        std::snprintf(what, sizeof(what),
+                      "non-finite loss %g at epoch %d step %lld", step_loss,
+                      epoch + 1, static_cast<long long>(history.steps + 1));
+        history.error = what;
+        history.seconds = elapsed_training_seconds();
+        return history;
+      }
       loss.Backward();
       if (config.grad_clip > 0.0f) {
         const float grad_norm = adam.ClipGradNorm(config.grad_clip);
@@ -211,7 +225,6 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
         obs_grad_norm_hist.Observe(grad_norm);
       }
       adam.Step();
-      const double step_loss = static_cast<double>(loss.item());
       loss_sum += step_loss;
       ++batches;
       ++history.steps;

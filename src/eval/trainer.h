@@ -96,6 +96,11 @@ struct TrainHistory {
   /// Training wall-clock, excluding time spent in validation Evaluate passes
   /// (so the number reflects train throughput honestly).
   double seconds = 0.0;
+  /// Empty unless training stopped early on a diverged run: a non-finite
+  /// step loss ends training before that step's backward and update, with
+  /// "non-finite loss <v> at epoch <e> step <s>" (1-based; s counts steps
+  /// from the start of the run). The loss is still appended to step_loss.
+  std::string error;
 };
 
 /// Trains `model` on `train` with Adam. Deterministic given (model seed,

@@ -31,6 +31,12 @@ struct ScoreColumns {
 /// micro-batch composition; the parity suite (serve_test, models_test)
 /// asserts this for all 13 zoo variants.
 ///
+/// Every Dense layer reads its weights in place, so a score costs the
+/// batch's own math plus a fixed per-op overhead, with no per-call weight
+/// packing; that matters because a served batch is usually 1-2 rows. No
+/// packed or otherwise derived copy of the weights is kept either, so a
+/// hot swap only has the model itself to replace.
+///
 /// FrozenModel is immutable after construction and therefore safe to score
 /// from multiple threads *sequentially per call site*. With the pool wider
 /// than one thread, a forward GEMM larger than one matmul grain (2^19

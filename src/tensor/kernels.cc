@@ -206,37 +206,61 @@ inline void StoreLanes(float* p, Vf v, int n) {
   }
 }
 
+/// Leading reduction rows of a 16-column panel that may load all 16 lanes.
+/// B's row p starts at p * bs. A GemmPackB panel (bs = 16) is zero-padded,
+/// and a full panel's 16 columns are all B's, so every row may. W read in
+/// place (bs = n) has a ragged last panel of jn < 16 columns; there a
+/// 16-lane load runs 16 - jn floats past the row's end, into the next rows,
+/// so only the last ceil((16 - jn) / n) rows must load partial lanes to
+/// keep every load inside W.
+inline int FullLoadRows(std::size_t bs, int kred, int jn) {
+  if (jn == kGemmColTile || bs == kGemmColTile) return kred;
+  const std::size_t spill = static_cast<std::size_t>(kGemmColTile - jn);
+  const int tail = static_cast<int>((spill + bs - 1) / bs);
+  return std::max(0, kred - tail);
+}
+
 /// One register tile: MR rows x 16 columns of output for a full sweep of the
-/// reduction over one packed panel. Element (r, p) of the row operand lives
-/// at a[r * rs + p * ps], so one kernel reads A for the forward product
-/// (rs = k, ps = 1), dC for dA (rs = n, ps = 1) and A as Aᵀ for dB (rs = 1,
-/// ps = k) without materializing a transpose.
+/// reduction over one 16-column panel of B, whose row p starts at
+/// b + p * bs. Element (r, p) of the row operand lives at a[r * rs + p * ps],
+/// so one kernel reads A for the forward product (rs = k, ps = 1), dC for
+/// dA (rs = n, ps = 1) and A as Aᵀ for dB (rs = 1, ps = k) without
+/// materializing a transpose.
 ///
 /// Each of the 2*MR accumulators is a single sequential FMA chain over
-/// ascending p, textually identical in every MR instantiation, so an output
-/// row is bit-identical whether it lands in a full 6-row tile or any
-/// remainder tile — which is what makes every GEMM entry point invariant to
-/// the caller's row partition. The finished chain overwrites c, or with
-/// kAccumulate is added to it in one add (autograd's += contract).
+/// ascending p, textually identical in every MR instantiation and for either
+/// kind of B load, so an output row is bit-identical whether it lands in a
+/// full 6-row tile or any remainder tile, and whether B is packed or read in
+/// place — which is what makes every GEMM entry point invariant to the
+/// caller's row partition. Lanes at or past jn are never stored, so what a
+/// full load brings into them (the next B row, read in place) changes no
+/// bit. The finished chain overwrites c, or with kAccumulate is added to it
+/// in one add (autograd's += contract).
 template <int MR, bool kAccumulate>
 inline void MicroKernel(const float* a, std::size_t rs, std::size_t ps,
-                        const float* panel, int kred, float* c, int ldc,
-                        int jn) {
+                        const float* b, std::size_t bs, int kred, float* c,
+                        int ldc, int jn) {
   Vf acc0[MR], acc1[MR];
   for (int r = 0; r < MR; ++r) {
     acc0[r] = Vf{};
     acc1[r] = Vf{};
   }
-  for (int p = 0; p < kred; ++p, a += ps, panel += kGemmColTile) {
-    const Vf b0 = LoadV(panel);
-    const Vf b1 = LoadV(panel + kSimdWidth);
+  const auto step = [&](Vf b0, Vf b1) {
     for (int r = 0; r < MR; ++r) {
       const Vf av = Splat(a[r * rs]);
       acc0[r] += av * b0;
       acc1[r] += av * b1;
     }
-  }
+    a += ps;
+  };
   const int j0n = std::min(jn, kSimdWidth);
+  const int full = FullLoadRows(bs, kred, jn);
+  int p = 0;
+  for (; p < full; ++p, b += bs) step(LoadV(b), LoadV(b + kSimdWidth));
+  for (; p < kred; ++p, b += bs) {
+    step(LoadLanes(b, j0n),
+         jn > kSimdWidth ? LoadLanes(b + kSimdWidth, jn - j0n) : Vf{});
+  }
   for (int r = 0; r < MR; ++r) {
     float* crow = c + static_cast<std::size_t>(r) * ldc;
     StoreLanes<kAccumulate>(crow, acc0[r], j0n);
@@ -244,48 +268,55 @@ inline void MicroKernel(const float* a, std::size_t rs, std::size_t ps,
   }
 }
 
+/// Panel pj of B starts at column 16 * pj of row 0: in a GemmPackB image
+/// (bs = 16) panels lie one after another, kred rows each; read in place
+/// they interleave within each row. (In place with n = 16 there is one
+/// panel, so bs = 16 picks the right start either way.)
 template <int MR, bool kAccumulate>
 inline void GemmRowBlock(const float* a, std::size_t rs, std::size_t ps,
-                         const float* packed, int kred, float* c, int ncols) {
+                         const float* b, std::size_t bs, int kred, float* c,
+                         int ncols) {
+  const std::size_t panel_step =
+      bs == kGemmColTile ? static_cast<std::size_t>(kred) * kGemmColTile
+                         : kGemmColTile;
   const int panels = (ncols + kGemmColTile - 1) / kGemmColTile;
   for (int pj = 0; pj < panels; ++pj) {
-    const float* panel =
-        packed + static_cast<std::size_t>(pj) * kred * kGemmColTile;
     const int jn = std::min(kGemmColTile, ncols - pj * kGemmColTile);
-    MicroKernel<MR, kAccumulate>(a, rs, ps, panel, kred,
+    MicroKernel<MR, kAccumulate>(a, rs, ps, b + pj * panel_step, bs, kred,
                                  c + pj * kGemmColTile, ncols, jn);
   }
 }
 
-/// Output rows [i0, i1) of a product whose right operand is packed over
-/// `kred` reduction steps into `ncols` columns; row i of the row operand
-/// starts at a + i * rs.
+/// Output rows [i0, i1) of a product with `kred` reduction steps into
+/// `ncols` columns; row i of the row operand starts at a + i * rs, and B's
+/// rows are bs floats apart: 16 for a GemmPackB image, ncols for a
+/// row-major B read in place.
 template <bool kAccumulate>
-void GemmRows(const float* a, std::size_t rs, std::size_t ps,
-              const float* packed, int kred, float* c, int ncols,
-              std::int64_t i0, std::int64_t i1) {
+void GemmRows(const float* a, std::size_t rs, std::size_t ps, const float* b,
+              std::size_t bs, int kred, float* c, int ncols, std::int64_t i0,
+              std::int64_t i1) {
   std::int64_t i = i0;
   for (; i + kGemmRowTile <= i1; i += kGemmRowTile) {
-    GemmRowBlock<kGemmRowTile, kAccumulate>(a + i * rs, rs, ps, packed, kred,
+    GemmRowBlock<kGemmRowTile, kAccumulate>(a + i * rs, rs, ps, b, bs, kred,
                                             c + i * ncols, ncols);
   }
   const float* ai = a + i * rs;
   float* ci = c + i * ncols;
   switch (static_cast<int>(i1 - i)) {
     case 1:
-      GemmRowBlock<1, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      GemmRowBlock<1, kAccumulate>(ai, rs, ps, b, bs, kred, ci, ncols);
       break;
     case 2:
-      GemmRowBlock<2, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      GemmRowBlock<2, kAccumulate>(ai, rs, ps, b, bs, kred, ci, ncols);
       break;
     case 3:
-      GemmRowBlock<3, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      GemmRowBlock<3, kAccumulate>(ai, rs, ps, b, bs, kred, ci, ncols);
       break;
     case 4:
-      GemmRowBlock<4, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      GemmRowBlock<4, kAccumulate>(ai, rs, ps, b, bs, kred, ci, ncols);
       break;
     case 5:
-      GemmRowBlock<5, kAccumulate>(ai, rs, ps, packed, kred, ci, ncols);
+      GemmRowBlock<5, kAccumulate>(ai, rs, ps, b, bs, kred, ci, ncols);
       break;
     default: break;
   }
@@ -330,18 +361,18 @@ void GemmPackBT(const float* b, int k, int n, float* packed) {
 
 void GemmRowsPacked(const float* a, const float* packed, float* c, int k,
                     int n, std::int64_t i0, std::int64_t i1) {
-  GemmRows<false>(a, k, 1, packed, k, c, n, i0, i1);
+  GemmRows<false>(a, k, 1, packed, kGemmColTile, k, c, n, i0, i1);
 }
 
 void GemmGradARowsPacked(const float* dc, const float* packed_bt, float* da,
                          int k, int n, std::int64_t i0, std::int64_t i1) {
-  GemmRows<true>(dc, n, 1, packed_bt, n, da, k, i0, i1);
+  GemmRows<true>(dc, n, 1, packed_bt, kGemmColTile, n, da, k, i0, i1);
 }
 
 void GemmGradBRowsPacked(const float* a, const float* packed_dc, float* db,
                          int m, int k, int n, std::int64_t p0,
                          std::int64_t p1) {
-  GemmRows<true>(a, 1, k, packed_dc, m, db, n, p0, p1);
+  GemmRows<true>(a, 1, k, packed_dc, kGemmColTile, m, db, n, p0, p1);
 }
 
 void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
@@ -441,15 +472,14 @@ void DenseRowsGemv(const float* a, const float* w, std::size_t ws, float bias,
 
 }  // namespace
 
-void DenseRowsPacked(const float* a, const float* packed, const float* bias,
-                     bool relu, float* y, int k, int n, std::int64_t i0,
-                     std::int64_t i1) {
+void DenseRows(const float* a, const float* w, const float* bias, bool relu,
+               float* y, int k, int n, std::int64_t i0, std::int64_t i1) {
   if (n == 1) {
     // The 1-unit heads: a 16-column panel would be 15/16 padding. Whole
-    // 8-row blocks run the row-lane GEMV, the ragged rows fall through to
-    // the panel kernel below; both build the same chains.
+    // 8-row blocks run the row-lane GEMV over W's column, the ragged rows
+    // fall through to the panel kernel below; both build the same chains.
     const std::int64_t blocks = (i1 - i0) / kSimdWidth;
-    DenseRowsGemv(a, packed, kGemmColTile, bias[0], relu, y, k, i0, blocks);
+    DenseRowsGemv(a, w, 1, bias[0], relu, y, k, i0, blocks);
     i0 += blocks * kSimdWidth;
   }
   // Blocks of a few row tiles, so the epilogue rereads rows the micro-kernel
@@ -458,7 +488,7 @@ void DenseRowsPacked(const float* a, const float* packed, const float* bias,
   constexpr std::int64_t kBlockRows = 8 * kGemmRowTile;
   for (std::int64_t b0 = i0; b0 < i1; b0 += kBlockRows) {
     const std::int64_t b1 = std::min(i1, b0 + kBlockRows);
-    GemmRows<false>(a, k, 1, packed, k, y, n, b0, b1);
+    GemmRows<false>(a, k, 1, w, n, k, y, n, b0, b1);
     for (std::int64_t i = b0; i < b1; ++i) {
       float* row = y + i * n;
       int j = 0;

@@ -32,6 +32,11 @@ namespace kernels {
 //    bit-identical regardless of how rows are chunked across threads or
 //    which row-remainder kernel computes it. The n = 1 dB GEMV and the
 //    n = 1 dense forward GEMV build the same chain for each element.
+//  * The dense forward reads W row-major in place at every row count; only
+//    the backward operands (Bᵀ, dC) and MatMul are packed into 16-column
+//    panels. A panel row holds exactly W[p][j0..j0+15], so the chain over p
+//    is the same either way and DenseRows matches GemmRowsPacked bit for
+//    bit (kernel_test's DenseBitIdenticalToComposite).
 //  * Transcendentals (VExp/VLog inside) are polynomial implementations that
 //    agree with libm to a few ulp but are NOT bit-identical to libm; exact
 //    identities that tests rely on are preserved by construction:
@@ -88,15 +93,15 @@ void GemmGradBRowsGemv(const float* a, const float* dc, float* db, int m,
 
 // --- Fused dense layer: Y = act(A * B + bias), act = ReLU or identity ------
 
-/// Rows [i0, i1) of Y from GemmPackB(B): GemmRowsPacked, then a lane-wise
+/// Rows [i0, i1) of Y from row-major W [k x n], read in place (no pack):
+/// the GemmRowsPacked micro-kernel at B row stride n, then a lane-wise
 /// epilogue y = c + bias[j] and, when `relu`, max(y, 0) — the exact float
 /// ops of Add's row broadcast and MapRelu, so Y is bit-identical to the
-/// MatMul + Add + Relu composite. At n = 1 whole 8-row blocks run a
-/// row-lane GEMV that builds the same FMA chains. Safe to call
-/// concurrently for disjoint row ranges.
-void DenseRowsPacked(const float* a, const float* packed, const float* bias,
-                     bool relu, float* y, int k, int n, std::int64_t i0,
-                     std::int64_t i1);
+/// MatMul + Add + Relu composite. No load reads past W's last element. At
+/// n = 1 whole 8-row blocks run a row-lane GEMV that builds the same FMA
+/// chains. Safe to call concurrently for disjoint row ranges.
+void DenseRows(const float* a, const float* w, const float* bias, bool relu,
+               float* y, int k, int n, std::int64_t i0, std::int64_t i1);
 
 /// Backward pre-pass of the fused dense layer, one serial sweep over dY
 /// [m x n] (`y` is the layer output, read only when `relu`). With

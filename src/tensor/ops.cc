@@ -187,10 +187,11 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
 /// Per-thread scratch for the GEMM operands packed or staged before a
 /// ParallelFor (no allocation in the serving or training steady state). A
 /// pointer stays valid through the caller's ParallelFor: worker threads only
-/// read it, and MatMul's and Dense's forward and backward never nest inside
-/// one another. Each call reuses its slot's buffer, so what a slot held is
-/// dead once the slot is filled again; Dense's backward keeps dZ in two slots
-/// while the shared GEMM backward packs B^T into the third.
+/// read it, and MatMul's forward and the GEMM backwards never nest inside
+/// one another (Dense's forward reads W in place and packs nothing). Each
+/// call reuses its slot's buffer, so what a slot held is dead once the slot
+/// is filled again; Dense's backward keeps dZ in two slots while the shared
+/// GEMM backward packs B^T into the third.
 enum ScratchSlot { kPackedOperand, kDenseGradRows, kPackedGrad, kScratchSlots };
 
 float* GemmScratch(ScratchSlot slot, std::int64_t floats) {
@@ -288,14 +289,14 @@ Tensor Dense(const Tensor& x, const Tensor& w, const Tensor& b, bool relu) {
   const float* xd = x.data();
   const float* bd = b.data();
   float* od = out.data();
-  // MatMul's packed GEMM with the bias add and ReLU applied to each row
-  // block right after the micro-kernel stores it (DESIGN.md §14).
-  float* packed = GemmScratch(kPackedOperand, kernels::GemmPackedSize(k, n));
-  kernels::GemmPackB(w.data(), k, n, packed);
+  // The GEMM micro-kernel reading W in place, with the bias add and ReLU
+  // applied to each row block right after it is stored (DESIGN.md §14).
+  // W is not packed first: for a 1-2-row served batch that pass over all of
+  // W cost more than the product itself.
+  const float* wd = w.data();
   ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
               [&](std::int64_t i0, std::int64_t i1) {
-                kernels::DenseRowsPacked(xd, packed, bd, relu, od, k, n, i0,
-                                         i1);
+                kernels::DenseRows(xd, wd, bd, relu, od, k, n, i0, i1);
               });
   if (out.requires_grad()) {
     Tensor x_cap = x, w_cap = w, b_cap = b;

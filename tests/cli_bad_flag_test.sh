@@ -4,7 +4,9 @@
 # not parse does, never with a library abort (exit 134). So does a trainer
 # setting that would train nothing or diverge (an epoch count below 1, a
 # learning rate that is not positive and finite, a validation fraction
-# outside [0, 1)), and no such run writes its --ckpt.
+# outside [0, 1)), and no such run writes its --ckpt. A run that diverges
+# anyway (a finite but huge --lr) stops at its first non-finite step loss,
+# naming the epoch and step, exits 1 and writes no --ckpt either.
 #
 # Usage: tests/cli_bad_flag_test.sh path/to/dcmt_cli
 set -u
@@ -65,6 +67,23 @@ for v in 1.5 1 -0.1 nan; do
   expect_exit_2 "train --val-fraction=$v" --val-fraction \
     "$CLI" "${TRAIN[@]}" --val-fraction="$v"
 done
+
+# Step 1's Adam update moves every weight by ~1e30, so step 2's logits
+# overflow and its loss is not finite.
+"$CLI" "${TRAIN[@]}" --epochs=3 --lr=1e30 > "$DIR/out.txt" 2> "$DIR/err.txt"
+code=$?
+if [[ $code -ne 1 ]]; then
+  echo "FAIL train --lr=1e30: exit $code, expected 1"; cat "$DIR/err.txt"
+  status=1
+elif ! grep -q "non-finite loss .* at epoch 2 step 2" "$DIR/err.txt"; then
+  echo "FAIL train --lr=1e30: stderr does not name the epoch and step"
+  cat "$DIR/err.txt"; status=1
+elif [[ -e "$DIR/model.bin" ]]; then
+  echo "FAIL train --lr=1e30: wrote --ckpt"; status=1
+else
+  echo "ok   train --lr=1e30 stops at the non-finite loss"
+fi
+rm -f "$DIR/model.bin"
 
 # The smallest accepted value still runs.
 if ! "$CLI" check-graph --model=dcmt --batch=1 > "$DIR/out.txt" 2>&1; then

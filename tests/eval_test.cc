@@ -146,6 +146,35 @@ TEST(TrainerTest, LrDecayStillConverges) {
   EXPECT_LT(history.epoch_loss.back(), history.epoch_loss.front());
 }
 
+TEST(TrainerTest, NonFiniteLossStopsBeforeTheUpdate) {
+  data::SyntheticLogGenerator gen(TinyProfile());
+  const data::Dataset train = gen.GenerateTrain();
+  core::Dcmt model(train.schema(), TinyConfig());
+  eval::TrainConfig config = FastTrain();
+  // Step 1's update moves every weight by ~1e30; step 2's logits overflow.
+  config.learning_rate = 1e30f;
+  config.record_step_loss = true;
+  const eval::TrainHistory history = eval::Train(&model, train, config);
+  EXPECT_NE(history.error.find("non-finite loss"), std::string::npos)
+      << history.error;
+  EXPECT_NE(history.error.find("at epoch 1 step 2"), std::string::npos)
+      << history.error;
+  EXPECT_EQ(history.steps, 1);
+  EXPECT_TRUE(history.epoch_loss.empty());
+  ASSERT_EQ(history.step_loss.size(), 2u);
+  EXPECT_TRUE(std::isfinite(history.step_loss[0]));
+  EXPECT_FALSE(std::isfinite(history.step_loss[1]));
+  // The diverged step ran neither backward nor Adam.
+  for (const Tensor& p : model.parameters()) {
+    for (std::int64_t i = 0; i < p.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(p.data()[i]));
+    }
+  }
+
+  core::Dcmt healthy(train.schema(), TinyConfig());
+  EXPECT_TRUE(eval::Train(&healthy, train, FastTrain()).error.empty());
+}
+
 TEST(EvaluatorTest, PredictCoversWholeDatasetInOrder) {
   data::SyntheticLogGenerator gen(TinyProfile());
   const data::Dataset test = gen.GenerateTest();

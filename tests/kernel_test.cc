@@ -509,6 +509,14 @@ TEST_F(KernelTest, DenseBitIdenticalToComposite) {
     dims.push_back({9, 1, n});
     dims.push_back({13, 17, n});
   }
+  // Served batches: 1-8 rows at the tower shapes. The forward reads W in
+  // place, and W is a tensor of exactly k * n floats, so an over-read on
+  // the ragged last panel (n = 17, 1) trips the ASan/UBSan build.
+  for (int m = 1; m <= 8; ++m) {
+    for (int k : {tower, 64, 32}) {
+      for (int n : {64, 32, 16, 17, 1}) dims.push_back({m, k, n});
+    }
+  }
   for (const auto& d : dims) {
     const DenseInputs in = MakeDenseInputs(d[0], d[1], d[2], &rng);
     for (bool relu : {false, true}) {

@@ -78,8 +78,19 @@ double ToNanoseconds(double value, const std::string& unit) {
 
 /// Splits "BM_Foo/4/real_time" into family "BM_Foo" and threads 4. Numeric
 /// path segments are treated as the thread argument (the scaling benches
-/// have exactly one); "real_time"/"process_time" suffixes are dropped.
+/// have exactly one); "real_time"/"process_time" suffixes and run settings
+/// ("min_time:2.000", "iterations:1") are dropped. A named argument
+/// ("BM_Foo/rows:8", benchmark's ArgName) is not a thread count: it stays in
+/// the family name, so each value gets its own row.
 void ParseName(const std::string& name, BenchEntry* entry) {
+  static const char* const kRunSettings[] = {
+      "min_time:", "min_warmup_time:", "iterations:", "repeats:", "threads:"};
+  const auto is_run_setting = [](const std::string& segment) {
+    return std::any_of(std::begin(kRunSettings), std::end(kRunSettings),
+                       [&](const char* prefix) {
+                         return segment.rfind(prefix, 0) == 0;
+                       });
+  };
   std::stringstream ss(name);
   std::string segment;
   bool first = true;
@@ -87,6 +98,8 @@ void ParseName(const std::string& name, BenchEntry* entry) {
     if (first) {
       entry->family = segment;
       first = false;
+    } else if (segment.find(':') != std::string::npos) {
+      if (!is_run_setting(segment)) entry->family += "/" + segment;
     } else if (!segment.empty() &&
                segment.find_first_not_of("0123456789") == std::string::npos) {
       entry->threads = std::atoi(segment.c_str());

@@ -382,6 +382,11 @@ int TrainCmd(int argc, char** argv) {
     history = eval::Train(model.get(), train, config);
   }
 
+  if (!history.error.empty()) {
+    std::fprintf(stderr, "train: %s; no checkpoint written\n",
+                 history.error.c_str());
+    return 1;
+  }
   if (!nn::SaveParameters(*model, flags.Get("ckpt"))) {
     std::fprintf(stderr, "train: cannot write checkpoint %s\n",
                  flags.Get("ckpt").c_str());

@@ -50,15 +50,17 @@ fi
 # Race detection: the concurrency-heavy suites under ThreadSanitizer — the
 # pool stress and determinism suites, obs, the optimizers (the clip norm and
 # Adam fan out over the pool), the serving engine (dispatcher/submitter
-# edges), the router (hot-swap double buffer, shard caches) and the stream
+# edges), the router (hot-swap double buffer, shard caches), the stream
 # suite (the prefetch worker decodes shards and gathers batches, label
-# tensors included, while the consumer trains). TSan is incompatible with
-# ASan, so it gets its own tree. Skippable (DCMT_SKIP_TSAN=1) — the
-# instrumented run is the slowest stage.
+# tensors included, while the consumer trains), the micro-batch suite (K
+# micro-batch forwards read the same weights concurrently, each Dense
+# reading W in place) and the kernel suite (forced-shard GEMMs and Dense at
+# 4 threads). TSan is incompatible with ASan, so it gets its own tree.
+# Skippable (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
 if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
   sanitized_ctest tsan thread \
-    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test stream_test" \
-    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing|StreamTest|PrefetchTest'
+    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test stream_test micro_batch_test kernel_test" \
+    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing|StreamTest|PrefetchTest|MicroBatch|MultiRootBackward|KernelTest'
   echo "tsan stage OK"
 fi
 
