@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "core/obs.h"
+#include "core/spin.h"
 
 namespace dcmt {
 namespace core {
@@ -30,39 +30,6 @@ namespace {
 thread_local bool tls_in_parallel_region = false;
 
 std::atomic<std::int64_t> g_grain_cap{0};
-
-/// How long a thread that is waiting on the pool busy-polls before it
-/// blocks: a worker after each job, the caller while its workers finish.
-/// A training step issues its GEMMs tens of microseconds apart, so inside
-/// a step a worker is still spinning when the next dispatch lands and picks
-/// it up in ~1 us instead of a condvar wake-up. Between steps (batch
-/// assembly, checkpointing) it parks and costs nothing.
-constexpr std::int64_t kSpinNanos = 150000;
-
-/// CPU hint for a busy-wait iteration: `pause` on x86, a yield elsewhere.
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// Busy-polls until `done()` holds or the spin window ends; returns done().
-/// Reads the clock directly rather than through obs: an idle worker must not
-/// touch the obs registry, a function-local static that can be destroyed
-/// before the pool's workers are joined at exit.
-template <typename Done>
-bool SpinUntil(const Done& done) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::nanoseconds(kSpinNanos);
-  for (int i = 1;; ++i) {
-    if (done()) return true;
-    CpuRelax();
-    if (i % 64 == 0 && Clock::now() > deadline) return done();
-  }
-}
 
 }  // namespace
 

@@ -1,11 +1,14 @@
 // Unit tests for the optimizers: analytic one-step updates, convergence on
 // convex problems, weight decay, momentum, and gradient clipping, plus the
 // bit-level contracts of the vectorized optimizer tail (scalar oracle,
-// thread-count invariance).
+// thread-count invariance). Plain SGD lives here, not in src/: nothing but
+// these tests uses it, as the reference optimizer and as a concrete
+// Optimizer for the clipping tests.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,17 +16,62 @@
 #include "core/thread_pool.h"
 #include "nn/linear.h"
 #include "optim/adam.h"
-#include "optim/sgd.h"
+#include "optim/optimizer.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 
 namespace dcmt {
 namespace {
 
+/// Plain stochastic gradient descent with optional classical momentum and
+/// decoupled L2 weight decay.
+class Sgd : public optim::Optimizer {
+ public:
+  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f,
+      float weight_decay = 0.0f)
+      : Optimizer(std::move(params)),
+        lr_(lr),
+        momentum_(momentum),
+        weight_decay_(weight_decay) {
+    // dcmt-lint: allow(float-eq) — 0.0f is the exact "no momentum" sentinel.
+    if (momentum_ != 0.0f) {
+      velocity_.reserve(params_.size());
+      for (Tensor& p : params_) {
+        velocity_.emplace_back(static_cast<std::size_t>(p.size()), 0.0f);
+      }
+    }
+  }
+
+  void Step() override {
+    for (std::size_t k = 0; k < params_.size(); ++k) {
+      Tensor& p = params_[k];
+      if (!p.has_grad()) continue;
+      float* w = p.data();
+      const float* g = p.grad();
+      for (std::int64_t i = 0; i < p.size(); ++i) {
+        float update = g[i] + weight_decay_ * w[i];
+        // dcmt-lint: allow(float-eq) — exact sentinel, as above.
+        if (momentum_ != 0.0f) {
+          float& v = velocity_[k][static_cast<std::size_t>(i)];
+          v = momentum_ * v + update;
+          update = v;
+        }
+        w[i] -= lr_ * update;
+      }
+    }
+  }
+
+ private:
+  float lr_;
+  float momentum_;
+  float weight_decay_;
+  std::vector<std::vector<float>> velocity_;
+};
+
 /// One SGD step on f(w) = w^2 / 2 has update w -= lr * w.
 TEST(SgdTest, SingleStepMatchesFormula) {
   Tensor w = Tensor::Scalar(4.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, /*lr=*/0.1f);
+  Sgd sgd({w}, /*lr=*/0.1f);
   sgd.ZeroGrad();
   ops::Scale(ops::Square(w), 0.5f).Backward();
   sgd.Step();
@@ -32,7 +80,7 @@ TEST(SgdTest, SingleStepMatchesFormula) {
 
 TEST(SgdTest, ConvergesOnQuadratic) {
   Tensor w = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 0.2f);
+  Sgd sgd({w}, 0.2f);
   for (int i = 0; i < 100; ++i) {
     sgd.ZeroGrad();
     ops::Square(ops::AddScalar(w, -3.0f)).Backward();
@@ -47,8 +95,8 @@ TEST(SgdTest, MomentumAcceleratesFirstSteps) {
   // fair acceleration check).
   Tensor w1 = Tensor::Scalar(5.0f, /*requires_grad=*/true);
   Tensor w2 = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  optim::Sgd plain({w1}, 0.05f);
-  optim::Sgd momentum({w2}, 0.05f, /*momentum=*/0.9f);
+  Sgd plain({w1}, 0.05f);
+  Sgd momentum({w2}, 0.05f, /*momentum=*/0.9f);
   for (int i = 0; i < 4; ++i) {
     plain.ZeroGrad();
     ops::Square(w1).Backward();
@@ -62,7 +110,7 @@ TEST(SgdTest, MomentumAcceleratesFirstSteps) {
 
 TEST(SgdTest, WeightDecayShrinksWeightsWithZeroGrad) {
   Tensor w = Tensor::Scalar(2.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 0.1f, 0.0f, /*weight_decay=*/0.5f);
+  Sgd sgd({w}, 0.1f, 0.0f, /*weight_decay=*/0.5f);
   w.grad()[0] = 0.0f;  // force allocated zero gradient
   sgd.Step();
   EXPECT_NEAR(w.item(), 2.0f - 0.1f * 0.5f * 2.0f, 1e-6f);
@@ -136,7 +184,7 @@ TEST(AdamTest, FitsLogisticRegression) {
 
 TEST(ClipGradNormTest, RescalesLargeGradients) {
   Tensor w = Tensor::FromData(1, 2, {0.0f, 0.0f}, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 1.0f);
+  Sgd sgd({w}, 1.0f);
   w.grad()[0] = 3.0f;
   w.grad()[1] = 4.0f;  // norm 5
   const float pre = sgd.ClipGradNorm(1.0f);
@@ -147,7 +195,7 @@ TEST(ClipGradNormTest, RescalesLargeGradients) {
 
 TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   Tensor w = Tensor::FromData(1, 2, {0.0f, 0.0f}, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 1.0f);
+  Sgd sgd({w}, 1.0f);
   w.grad()[0] = 0.3f;
   w.grad()[1] = 0.4f;
   sgd.ClipGradNorm(1.0f);
@@ -326,7 +374,7 @@ TEST(ClipGradNormTest, NormAndClippedGradsAreThreadCountInvariant) {
         if (k == kNoGrad) continue;
         std::copy(grads[k].begin(), grads[k].end(), params[k].grad());
       }
-      optim::Sgd sgd(params, 1.0f);
+      Sgd sgd(params, 1.0f);
       const float norm = sgd.ClipGradNorm(max_norm);
 
       // The double sum's error (~1e-16 relative) is far below a float's

@@ -1,8 +1,8 @@
 // Tests for the tape-free serving stack (DESIGN.md §13): train/serve parity
 // through a checkpoint round-trip for every zoo variant (bit-exact at one
 // and at several threads), the micro-batching engine's work-conserving
-// dispatch, drain and admission behaviour, the inference guard, and
-// FrozenModel::Load validation.
+// dispatch, spin-then-park dispatcher, drain and admission behaviour, the
+// inference guard, and FrozenModel::Load validation.
 
 // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
 #include <atomic>
@@ -575,6 +575,86 @@ double PrometheusSample(const std::string& text, const std::string& name) {
   const std::size_t at = text.find(key);
   if (at == std::string::npos) return -1.0;
   return std::stod(text.substr(at + key.size()));
+}
+
+/// Polls the engine until its dispatcher has parked `want` times; false if
+/// that takes longer than 10 s (a dispatcher that never parks).
+bool WaitForParks(const serve::Engine& engine, std::int64_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.stats().parks < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST_F(ServeTest, IdleDispatcherParksAndStillServesTheNextRow) {
+  obs::Registry::Global().ResetForTesting();
+  obs::SetEnabled(true);
+  const serve::FrozenModel frozen = Frozen();
+  const std::vector<data::Example> rows(train_.examples().begin(),
+                                        train_.examples().begin() + 2);
+  const serve::ScoreColumns want = frozen.ScoreExamples(rows);
+  serve::Engine engine(&frozen);
+  // Nothing is queued, so the spin window lapses and the dispatcher parks;
+  // each row then has to wake it through the condvar. After serving a row
+  // it spins again, finds nothing, and parks a second time. A lost wake-up
+  // leaves the future pending past the bounded wait.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(WaitForParks(engine, static_cast<std::int64_t>(i) + 1))
+        << "row " << i;
+    // dcmt-lint: allow(concurrency) — the future carries the score.
+    std::future<serve::Score> future = engine.Submit(rows[i]);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "row " << i;
+    const serve::Score got = future.get();
+    ASSERT_TRUE(got.ok()) << "row " << i;
+    EXPECT_EQ(got.pctr, want.pctr[i]) << "row " << i;
+    EXPECT_EQ(got.pcvr, want.pcvr[i]) << "row " << i;
+    EXPECT_EQ(got.pctcvr, want.pctcvr[i]) << "row " << i;
+  }
+  engine.Shutdown();
+  const std::string text = obs::Registry::Global().RenderPrometheus();
+  obs::SetEnabled(false);
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_GE(stats.parks, 2);
+  EXPECT_EQ(stats.scored, 2);
+  EXPECT_EQ(PrometheusSample(text, "dcmt_serve_dispatcher_parks_total"),
+            static_cast<double>(stats.parks));
+}
+
+TEST_F(ServeTest, ShutdownWhileDispatcherSpinsDrainsWithoutDrops) {
+  // Right after a row resolves the dispatcher is in its spin window: it
+  // parks only after core::kSpinNanos with nothing queued. A Shutdown
+  // issued there, with rows queued behind it or none, must return and
+  // score every queued row. Each trial is a fresh engine; on a loaded host
+  // some trials find the dispatcher already parked, which is also legal.
+  const serve::FrozenModel frozen = Frozen();
+  const data::Example row = train_.examples()[0];
+  const serve::ScoreColumns want = frozen.ScoreExamples({row});
+  int spinning_at_shutdown = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    serve::Engine engine(&frozen);
+    ASSERT_TRUE(engine.ScoreSync(row).ok()) << "trial " << trial;
+    const std::int64_t parks = engine.stats().parks;
+    // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+    std::vector<std::future<serve::Score>> futures;
+    const int queued = trial % 2 == 0 ? 0 : 8;
+    for (int i = 0; i < queued; ++i) futures.push_back(engine.Submit(row));
+    engine.Shutdown();
+    for (auto& f : futures) {
+      const serve::Score got = f.get();
+      ASSERT_TRUE(got.ok()) << "trial " << trial;
+      EXPECT_EQ(got.pctcvr, want.pctcvr[0]) << "trial " << trial;
+    }
+    const serve::EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.submitted, 1 + queued) << "trial " << trial;
+    EXPECT_EQ(stats.scored, 1 + queued) << "trial " << trial;
+    if (stats.parks == parks) ++spinning_at_shutdown;
+  }
+  RecordProperty("spinning_at_shutdown", spinning_at_shutdown);
 }
 
 TEST_F(ServeTest, QueueWaitHistogramSpansEnqueueToBatchStart) {

@@ -462,6 +462,65 @@ TEST(TsanStress, ServeEngineConcurrentSubmitters) {
   EXPECT_EQ(in_range.load(), kThreads * kRowsPerThread);
 }
 
+TEST(TsanStress, ServeEngineRowsLandWhileSpinningAndAfterParking) {
+  // The dispatcher spins for core::kSpinNanos after each batch, then parks.
+  // Submitters pause 0, ~50 us (inside the window) and ~300 us (past it)
+  // between rows, so rows land on a spinning dispatcher, on one that just
+  // parked, and on one that is mid-batch. Every row must resolve kOk with
+  // its own bits; a lost wake-up shows as a future still pending after the
+  // bounded wait, not as a hung test.
+  ScopedParallelConfig config(1, 0);
+  ServeStressFixture& fixture = ServeFixture();
+  const serve::ScoreColumns want = fixture.frozen->ScoreExamples(fixture.rows);
+  serve::EngineConfig engine_config;
+  engine_config.max_batch = 8;
+  serve::Engine engine(fixture.frozen.get(), engine_config);
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 12;
+  const int gaps_us[] = {0, 50, 300};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
+  std::atomic<int> exact{0};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
+  std::atomic<int> timed_out{0};
+  {
+    // dcmt-lint: allow(concurrency) — real submitter threads are the test.
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          for (int g = 0; g < 3; ++g) {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(gaps_us[(g + t) % 3]));
+            const std::size_t row =
+                static_cast<std::size_t>((t * 41 + r * 3 + g) % 128);
+            // dcmt-lint: allow(concurrency) — the future is the subject.
+            std::future<serve::Score> future =
+                engine.Submit(fixture.rows[row]);
+            if (future.wait_for(std::chrono::seconds(30)) !=
+                std::future_status::ready) {
+              timed_out.fetch_add(1);
+              return;  // the engine's Shutdown below still resolves it
+            }
+            const serve::Score score = future.get();
+            if (score.ok() && score.pctr == want.pctr[row] &&
+                score.pcvr == want.pcvr[row] &&
+                score.pctcvr == want.pctcvr[row]) {
+              exact.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& submitter : submitters) submitter.join();
+  }
+  engine.Shutdown();
+  EXPECT_EQ(timed_out.load(), 0);
+  EXPECT_EQ(exact.load(), kThreads * kRounds * 3);
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scored, stats.submitted);
+  RecordProperty("parks", static_cast<int>(stats.parks));
+}
+
 TEST(TsanStress, ServeEngineShutdownDrainsInflightWithoutDrops) {
   // Shutdown races a full queue: every already-submitted request must still
   // be scored (drain, never drop), and every future must become ready. A

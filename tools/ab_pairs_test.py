@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Tests of tools/ab_pairs: its verdict rules, and its handling of a bad run
-with stub checkouts (no benchmark runs).
+"""Tests of tools/ab_pairs: its verdict rules, its handling of a bad run
+with stub checkouts, and its checkouts of two git revisions of a throwaway
+repository (no benchmark runs).
 
     python3 tools/ab_pairs_test.py
 """
@@ -11,6 +12,8 @@ import importlib.util
 import io
 import json
 import os
+import shutil
+import subprocess
 import tempfile
 import textwrap
 import unittest
@@ -153,6 +156,58 @@ class BadRunTest(unittest.TestCase):
             self.assertTrue(os.path.exists(
                 os.path.join(logs, "pair01-base-seed3.stderr")))
             self.assertNotIn("bad run: base", text)
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", repo, "-c", "user.name=ab", "-c",
+                    "user.email=ab@example.com"] + list(args), check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+@unittest.skipUnless(shutil.which("git"), "needs git")
+class RevisionTest(unittest.TestCase):
+    def test_revisions_are_unpacked_from_git_archive(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            repo = os.path.join(tmp, "repo")
+            make_stub_checkout(repo, correct=True)
+            git(repo, "init", "-q")
+            git(repo, "add", "-A")
+            git(repo, "commit", "-q", "-m", "good")
+            run_py = os.path.join(repo, "e2ebench", "run.py")
+            with open(run_py, "w") as f:
+                f.write(STUB_RUN.format(correct=False))
+            git(repo, "commit", "-q", "-am", "bad")
+            # An uncommitted edit must not reach either checkout.
+            with open(run_py, "w") as f:
+                f.write("raise SystemExit(3)\n")
+            checkouts = os.path.join(tmp, "checkouts")
+            logs = os.path.join(tmp, "logs")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = ab_pairs.main([
+                    "--base-rev", "HEAD~1", "--head-rev", "HEAD", "--repo",
+                    repo, "--checkouts", checkouts, "--workload", "w",
+                    "--seeds", "3", "--logs", logs])
+            text = out.getvalue()
+            self.assertEqual(status, 1)
+            self.assertIn("base: HEAD~1 (", text)
+            self.assertIn(") in %s" % os.path.join(checkouts, "head"), text)
+            self.assertIn("bad run: head seed 3: correct=false", text)
+            self.assertNotIn("bad run: base", text)
+            for side in ("base", "head"):
+                self.assertTrue(os.path.exists(os.path.join(
+                    checkouts, side, "e2ebench", "run.py")))
+                self.assertFalse(os.path.exists(os.path.join(
+                    checkouts, side + ".tar")))
+
+    def test_paths_and_revisions_do_not_mix(self):
+        for argv in (["a", "--head-rev", "HEAD"],
+                     ["a", "b", "--base-rev", "HEAD"],
+                     ["--base-rev", "HEAD"]):
+            with contextlib.redirect_stderr(io.StringIO()), \
+                    self.assertRaises(SystemExit):
+                ab_pairs.main(argv + ["--workload", "w", "--seeds", "1"])
 
 
 if __name__ == "__main__":

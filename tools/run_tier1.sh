@@ -24,17 +24,15 @@ if [[ "${DCMT_SKIP_LINT:-0}" != "1" ]]; then
 fi
 
 # Sanitizer trees: configure <build>-<name> with -DDCMT_SANITIZE=<kind>
-# (warnings are errors there too), build the given targets (all of them
-# without any) and run ctest there with the remaining arguments.
-#   sanitized_ctest <name> <kind> "<targets>" [ctest args...]
+# (warnings are errors there too), build it and run the whole ctest there.
+#   sanitized_ctest <name> <kind>
 sanitized_ctest() {
-  local dir="${BUILD_DIR}-$1" kind="$2" targets="$3"
-  shift 3
+  local dir="${BUILD_DIR}-$1" kind="$2"
   cmake -B "$dir" -S . -DDCMT_SANITIZE="$kind" -DDCMT_WERROR=ON \
     -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
-  cmake --build "$dir" -j "$JOBS" ${targets:+--target $targets}
+  cmake --build "$dir" -j "$JOBS"
   TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "$@"
+    ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
 # Hardening pass: the whole suite again under ASan/UBSan (non-recovering:
@@ -43,24 +41,18 @@ sanitized_ctest() {
 # continual layers included. Skippable (DCMT_SKIP_SANITIZE=1) because the
 # instrumented build roughly doubles tier-1 wall time.
 if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
-  sanitized_ctest asan address,undefined ""
+  sanitized_ctest asan address,undefined
   echo "asan/ubsan stage OK"
 fi
 
-# Race detection: the concurrency-heavy suites under ThreadSanitizer — the
-# pool stress and determinism suites, obs, the optimizers (the clip norm and
-# Adam fan out over the pool), the serving engine (dispatcher/submitter
-# edges), the router (hot-swap double buffer, shard caches), the stream
-# suite (the prefetch worker decodes shards and gathers batches, label
-# tensors included, while the consumer trains), the micro-batch suite (K
-# micro-batch forwards read the same weights concurrently, each Dense
-# reading W in place) and the kernel suite (forced-shard GEMMs and Dense at
-# 4 threads). TSan is incompatible with ASan, so it gets its own tree.
-# Skippable (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
+# Race detection: the whole suite again under ThreadSanitizer — the pool
+# stress and determinism suites, the serving engine's spin-then-park
+# dispatcher and the router, the stream prefetch worker, the micro-batch and
+# kernel suites, checkpoint crash+resume and the continual loop included.
+# TSan is incompatible with ASan, so it gets its own tree. Skippable
+# (DCMT_SKIP_TSAN=1) — the instrumented run is the slowest stage.
 if [[ "${DCMT_SKIP_TSAN:-0}" != "1" ]]; then
-  sanitized_ctest tsan thread \
-    "tsan_stress_test parallel_test obs_test optim_test serve_test router_test stream_test micro_batch_test kernel_test" \
-    -R 'TsanStress|ThreadPool|ParallelKernels|ParallelTraining|ParallelExperiment|Obs|Optim|ClipGradNorm|Adam|Serve|InferenceGuard|Router|ShardCache|ConsistentHashRing|StreamTest|PrefetchTest|MicroBatch|MultiRootBackward|KernelTest'
+  sanitized_ctest tsan thread
   echo "tsan stage OK"
 fi
 
