@@ -2,7 +2,7 @@
 //
 // A small client fleet drives serve::Router the way search traffic drives a
 // pCTR/pCVR tier: user ids drawn from a Zipf distribution (a few hot users
-// dominate, exercising the embedding cache's LRU), request rate modulated by
+// dominate, loading their engines unevenly), request rate modulated by
 // a compressed diurnal curve (sinusoidal peak/trough around the base rate),
 // and each client running a closed loop — its next request is issued only
 // after the previous response lands, so latency feedback throttles offered
@@ -14,10 +14,9 @@
 // benchmarks below. Each BM_RouterClosedLoop{P50,P99,P999} entry reports its
 // quantile as manual time from a single iteration, so tools/bench_to_json
 // folds all three into BENCH_engine.json with no aggregate-parsing support.
-// Single-core CI note: with every engine, dispatcher, and client sharing one
-// core, the tail quantiles measure scheduler behaviour as much as router
-// behaviour; treat cross-machine comparisons accordingly (README "Serving
-// tier").
+// The clients and the engines' dispatchers share the host's cores, so the
+// tail quantiles measure scheduler behaviour as much as router behaviour;
+// compare them only between runs on one host (README "Serving tier").
 
 #include <algorithm>
 #include <atomic>

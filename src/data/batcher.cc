@@ -86,20 +86,6 @@ Batch BatchBuilder::Finish() {
   return std::move(batch_);
 }
 
-Batch MakeBatch(const std::vector<Example>& examples,
-                const std::vector<std::int64_t>& indices, std::int64_t first,
-                int count, const FeatureSchema& schema) {
-  if (count <= 0) {
-    std::fprintf(stderr, "MakeBatch: non-positive count\n");
-    std::abort();
-  }
-  BatchBuilder builder(schema, count);
-  for (int b = 0; b < count; ++b) {
-    builder.Add(examples[static_cast<std::size_t>(indices[first + b])]);
-  }
-  return builder.Finish();
-}
-
 namespace {
 
 template <typename T>
@@ -146,14 +132,12 @@ Batch SliceRows(const Batch& batch, int begin, int end) {
 }
 
 Batch MakeContiguousBatch(const Dataset& dataset, std::int64_t first, int count) {
-  static thread_local std::vector<std::int64_t> identity;
-  const std::int64_t needed = first + count;
-  if (static_cast<std::int64_t>(identity.size()) < needed) {
-    const std::int64_t old = static_cast<std::int64_t>(identity.size());
-    identity.resize(static_cast<std::size_t>(needed));
-    std::iota(identity.begin() + old, identity.end(), old);
+  BatchBuilder builder(dataset.schema(), count);
+  const std::vector<Example>& examples = dataset.examples();
+  for (int b = 0; b < count; ++b) {
+    builder.Add(examples[static_cast<std::size_t>(first + b)]);
   }
-  return MakeBatch(dataset.examples(), identity, first, count, dataset.schema());
+  return builder.Finish();
 }
 
 std::vector<std::int64_t> ShardedEpochOrder(

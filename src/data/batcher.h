@@ -56,7 +56,10 @@ void FinishGather(Batch* batch);
 /// these batches carry the same label tensors a gathered batch would.
 class BatchBuilder {
  public:
+  /// `schema` is held by reference and must outlive the builder, so a
+  /// temporary schema does not compile.
   BatchBuilder(const FeatureSchema& schema, int capacity);
+  BatchBuilder(FeatureSchema&& schema, int capacity) = delete;
 
   void Add(const Example& example);
   /// Finalizes the label tensors and returns the batch. The builder is
@@ -69,11 +72,6 @@ class BatchBuilder {
   const FeatureSchema& schema_;
   Batch batch_;
 };
-
-/// Assembles a batch from `examples[indices[first..first+count)]`.
-Batch MakeBatch(const std::vector<Example>& examples,
-                const std::vector<std::int64_t>& indices, std::int64_t first,
-                int count, const FeatureSchema& schema);
 
 /// Rows [begin, end) of `batch` as a batch of their own: every id list, raw
 /// label list and label tensor is cut to the range (absent ones stay

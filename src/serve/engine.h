@@ -3,10 +3,11 @@
 
 // The serving engine is, with src/core/, one of the sanctioned concurrency
 // sites in the tree (enforced by the dcmt_lint concurrency rule — under
-// src/serve/ the sanction covers engine/router/shard_cache, the files that
-// own queues and dispatcher threads): it owns the bounded request queue and
-// its dispatcher thread. Scoring runs on the dispatcher; its large GEMMs
-// fan out through core::ThreadPool (see FrozenModel).
+// src/serve/ the sanction covers engine and router, the files that own
+// queues, dispatcher threads and the swap double-buffer): it owns the
+// bounded request queue and its dispatcher thread. Scoring runs on the
+// dispatcher; its large GEMMs fan out through core::ThreadPool (see
+// FrozenModel).
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>

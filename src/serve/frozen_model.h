@@ -77,37 +77,13 @@ class FrozenModel {
   /// Registry name of the underlying model ("dcmt", "esmm", ...).
   std::string name() const { return model_->name(); }
 
-  // --- Embedding-table geometry and row access (DESIGN.md §16) -------------
-  // The sharded serving tier replicates the MLP towers per engine but
-  // consistent-hash-shards the embedding rows; these accessors are the row
-  // store it shards. Tables are indexed deep fields first, then wide fields
-  // (the SharedEmbeddings registration order). Zero tables means the
-  // underlying variant does not use the shared embedding layer.
-
-  int EmbeddingTableCount() const {
-    return static_cast<int>(embedding_tables_.size());
-  }
-  /// Vocabulary size (row count) of `table`; 0 when out of range.
-  int EmbeddingTableRows(int table) const;
-  /// Embedding dimension of `table`; 0 when out of range.
-  int EmbeddingTableDim(int table) const;
-  /// Copies one embedding row; false when (table, id) is out of range.
-  bool EmbeddingRow(int table, int id, std::vector<float>* out) const;
-
  private:
   FrozenModel(models::MultiTaskModel* model, data::FeatureSchema schema)
-      : model_(model), schema_(std::move(schema)) {
-    IndexEmbeddingTables();
-  }
-
-  /// Collects the shared embedding tables ("embed.deep.fieldN" /
-  /// "embed.wide.fieldN" parameters) in deep-then-wide field order.
-  void IndexEmbeddingTables();
+      : model_(model), schema_(std::move(schema)) {}
 
   std::unique_ptr<models::MultiTaskModel> owned_;
   models::MultiTaskModel* model_ = nullptr;  // == owned_.get() when owning
   data::FeatureSchema schema_;
-  std::vector<Tensor> embedding_tables_;  // shared handles into the model
 };
 
 }  // namespace serve

@@ -1,5 +1,6 @@
 #include "serve/router.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -7,6 +8,58 @@
 
 namespace dcmt {
 namespace serve {
+
+// ---------------------------------------------------------------------------
+// ConsistentHashRing
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kRingReplicas = 64;
+
+std::uint64_t Mix(std::uint64_t x) {
+  // SplitMix64 finalizer: cheap, deterministic, well-distributed.
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+ConsistentHashRing::ConsistentHashRing(int num_shards) {
+  if (num_shards < 1) {
+    std::fprintf(stderr, "ConsistentHashRing: num_shards must be >= 1\n");
+    std::abort();
+  }
+  points_.reserve(static_cast<std::size_t>(num_shards) * kRingReplicas);
+  for (int shard = 0; shard < num_shards; ++shard) {
+    for (int replica = 0; replica < kRingReplicas; ++replica) {
+      const std::uint64_t point =
+          Mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(shard))
+               << 32) |
+              static_cast<std::uint32_t>(replica));
+      points_.push_back({point, shard});
+    }
+  }
+  std::sort(points_.begin(), points_.end(),
+            [](const Point& a, const Point& b) {
+              // Ties broken by shard id so the ring is a total order and
+              // every instance agrees on ownership.
+              return a.hash != b.hash ? a.hash < b.hash : a.shard < b.shard;
+            });
+}
+
+int ConsistentHashRing::ShardFor(std::uint64_t key) const {
+  const std::uint64_t h = Mix(key);
+  // First ring point clockwise of h, wrapping past the top.
+  auto it = std::lower_bound(points_.begin(), points_.end(), h,
+                             [](const Point& p, std::uint64_t hash) {
+                               return p.hash < hash;
+                             });
+  if (it == points_.end()) it = points_.begin();
+  return it->shard;
+}
 
 // ---------------------------------------------------------------------------
 // SwappableModel
@@ -90,31 +143,19 @@ std::int64_t SwappableModel::swaps() const {
 // ---------------------------------------------------------------------------
 
 Router::Router(std::unique_ptr<const FrozenModel> model, RouterConfig config)
-    : config_(config),
-      model_(std::move(model)),
-      row_source_(std::make_unique<FrozenModelRowSource>(model_.active())),
-      user_ring_(config.num_engines > 0 ? config.num_engines : 1,
-                 config.ring_replicas),
-      cache_(config.num_engines > 0 ? config.num_engines : 1,
-             config.cache_rows_per_shard, row_source_.get(),
-             config.ring_replicas),
-      deep_fields_(
-          static_cast<int>(model_.active()->schema().deep_fields.size())),
-      wide_fields_(
-          static_cast<int>(model_.active()->schema().wide_fields.size())) {
-  if (config_.num_engines < 1) {
+    : model_(std::move(model)),
+      user_ring_(config.num_engines > 0 ? config.num_engines : 1) {
+  if (config.num_engines < 1) {
     std::fprintf(stderr, "Router: num_engines must be >= 1\n");
     std::abort();
   }
-  engines_.reserve(static_cast<std::size_t>(config_.num_engines));
-  for (int i = 0; i < config_.num_engines; ++i) {
-    engines_.push_back(std::make_unique<Engine>(&model_, config_.engine));
+  engines_.reserve(static_cast<std::size_t>(config.num_engines));
+  for (int i = 0; i < config.num_engines; ++i) {
+    engines_.push_back(std::make_unique<Engine>(&model_, config.engine));
   }
   obs::Registry& reg = obs::Registry::Global();
   obs_requests_ = reg.counter("dcmt_router_requests_total");
   obs_swaps_ = reg.counter("dcmt_router_swaps_total");
-  obs_cache_hits_ = reg.counter("dcmt_router_embed_cache_hits_total");
-  obs_cache_misses_ = reg.counter("dcmt_router_embed_cache_misses_total");
 }
 
 Router::~Router() { Shutdown(); }
@@ -123,35 +164,8 @@ int Router::EngineFor(std::int64_t user) const {
   return user_ring_.ShardFor(static_cast<std::uint64_t>(user));
 }
 
-void Router::ResolveEmbeddings(const data::Example& example) {
-  // Touch every embedding row the request needs through its owning shard's
-  // cache — the stand-in for the gather a remote parameter store would
-  // serve. Scoring reads the replicated model directly, so a failed resolve
-  // (a variant without shared embedding tables, a table index past the
-  // source's count, or an id outside its table — a row the engine then
-  // rejects as invalid) costs one rejected source probe and nothing else.
-  std::vector<float> row;
-  bool hit = false;
-  const int deep = static_cast<int>(example.deep_ids.size());
-  for (int f = 0; f < deep && f < deep_fields_; ++f) {
-    if (cache_.Get(f, example.deep_ids[static_cast<std::size_t>(f)], &row,
-                   &hit)) {
-      (hit ? obs_cache_hits_ : obs_cache_misses_).Inc();
-    }
-  }
-  const int wide = static_cast<int>(example.wide_ids.size());
-  for (int f = 0; f < wide && f < wide_fields_; ++f) {
-    if (cache_.Get(deep_fields_ + f,
-                   example.wide_ids[static_cast<std::size_t>(f)], &row,
-                   &hit)) {
-      (hit ? obs_cache_hits_ : obs_cache_misses_).Inc();
-    }
-  }
-}
-
 std::future<Score> Router::Submit(const data::Example& example) {
   obs_requests_.Inc();
-  ResolveEmbeddings(example);
   Engine& engine = *engines_[static_cast<std::size_t>(
       EngineFor(example.user_index))];
   return engine.TrySubmit(example);
@@ -163,19 +177,7 @@ Score Router::ScoreSync(const data::Example& example) {
 
 std::unique_ptr<const FrozenModel> Router::Swap(
     std::unique_ptr<const FrozenModel> next) {
-  const FrozenModel* next_raw = next.get();
-  // Flip the scoring path first: after Swap returns, every batch pinned to
-  // the retired version has been fulfilled and all new batches score on
-  // `next`. The retired model stays alive (held here) while the caches
-  // still point at its rows.
   std::unique_ptr<const FrozenModel> retired = model_.Swap(std::move(next));
-  // Rebind + invalidate the caches. SetSource takes every shard lock, so
-  // once it returns no in-flight Get can be reading through the old source,
-  // and the old source object (and the retired model under it) is safe to
-  // drop.
-  auto new_source = std::make_unique<FrozenModelRowSource>(next_raw);
-  cache_.SetSource(new_source.get());
-  row_source_ = std::move(new_source);
   obs_swaps_.Inc();
   return retired;
 }
@@ -196,7 +198,6 @@ RouterStats Router::stats() const {
     stats.per_engine.push_back(es);
   }
   stats.swaps = model_.swaps();
-  stats.cache = cache_.stats();
   return stats;
 }
 

@@ -7,12 +7,10 @@
 // fleet, not one process. serve::Router models that fleet in-process: N
 // serve::Engine instances (each its own micro-batcher + dispatcher thread)
 // front one hot-swappable FrozenModel. Requests are routed to engines by
-// consistent-hashing the user id — users are sticky to an engine, so each
-// engine's embedding working set is a stable 1/N slice of the traffic — and
-// each request's embedding rows are resolved through the per-shard LRU
-// caches of a ShardedEmbeddingCache before scoring (the stand-in for the
-// remote parameter-store fetch a production tier performs; scoring itself
-// uses the replicated in-process model, so scores stay bit-exact).
+// consistent-hashing the user id, so users are sticky to an engine and
+// growing the fleet remaps only the users the new engine takes over. Every
+// engine scores against the same replicated model, so a score does not
+// depend on the engine that computed it.
 //
 //   * Admission: each engine checks a request's field counts and id ranges
 //     against the schema before queueing it; a malformed request resolves
@@ -27,9 +25,8 @@
 //     per batch (ModelSource::Acquire/Release), the swap flips the index
 //     and waits for the old version's in-flight batches to drain, so every
 //     request completes — zero drops — and every response is computed
-//     entirely against exactly one version, never a torn mix. Swap() then
-//     rebinds + invalidates the embedding caches and returns the retired
-//     version to the caller.
+//     entirely against exactly one version, never a torn mix. Swap()
+//     returns the retired version to the caller.
 //
 // This file is a sanctioned concurrency site (dcmt_lint `concurrency`
 // rule): it owns the swap atomics and the engine fleet.
@@ -46,28 +43,26 @@
 #include "data/example.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
-#include "serve/shard_cache.h"
 
 namespace dcmt {
 namespace serve {
 
-/// EmbeddingRowSource over a FrozenModel's shared embedding tables.
-class FrozenModelRowSource : public EmbeddingRowSource {
+/// Consistent hashing of user ids over `num_shards` engines, 64 virtual
+/// nodes each. Deterministic: the ring depends only on num_shards, and
+/// adding a shard remaps only the keys the new shard now owns.
+class ConsistentHashRing {
  public:
-  explicit FrozenModelRowSource(const FrozenModel* model) : model_(model) {}
-  int table_count() const override { return model_->EmbeddingTableCount(); }
-  int table_rows(int table) const override {
-    return model_->EmbeddingTableRows(table);
-  }
-  int table_dim(int table) const override {
-    return model_->EmbeddingTableDim(table);
-  }
-  bool Row(int table, int id, std::vector<float>* out) const override {
-    return model_->EmbeddingRow(table, id, out);
-  }
+  explicit ConsistentHashRing(int num_shards);
+
+  /// Owning shard of `key`, in [0, num_shards).
+  int ShardFor(std::uint64_t key) const;
 
  private:
-  const FrozenModel* model_;
+  struct Point {
+    std::uint64_t hash;
+    int shard;
+  };
+  std::vector<Point> points_;  // sorted by hash
 };
 
 /// Double-buffered hot-swappable FrozenModel (the v2-checkpoint publish
@@ -113,15 +108,11 @@ class SwappableModel : public ModelSource {
 
 /// Router-tier knobs (DESIGN.md §16).
 struct RouterConfig {
-  /// Engine instances (== embedding cache shards). Production would spread
-  /// these over machines; in-process they share core::ThreadPool.
+  /// Engine instances. Production would spread these over machines;
+  /// in-process they share core::ThreadPool.
   int num_engines = 2;
   /// Per-engine micro-batcher policy.
   EngineConfig engine;
-  /// Per-shard LRU capacity of the embedding row cache.
-  int cache_rows_per_shard = 4096;
-  /// Virtual nodes per shard on both hash rings.
-  int ring_replicas = 64;
 };
 
 /// Aggregated router counters (engine stats summed over the fleet).
@@ -132,7 +123,15 @@ struct RouterStats {
   std::int64_t rejected_shutdown = 0;
   std::int64_t rejected_invalid = 0;
   std::int64_t swaps = 0;
-  ShardCacheStats cache;
+  /// Always zero: the router caches no embedding rows. Kept only because
+  /// the e2ebench harness reads these three fields; they go once the
+  /// benchmark retires its cache.hit_ratio and cache.invalidations metrics
+  /// (ROADMAP item 3).
+  struct {
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    std::int64_t invalidations = 0;
+  } cache;
   std::vector<EngineStats> per_engine;
 };
 
@@ -147,18 +146,16 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Routes one request: resolves its embedding rows through the owning
-  /// shard caches, then enqueues into the user's engine. Never blocks: a
-  /// malformed row, overload or shutdown resolve the future immediately
-  /// with the corresponding rejection status.
+  /// Routes one request into its user's engine. Never blocks: a malformed
+  /// row, overload or shutdown resolve the future immediately with the
+  /// corresponding rejection status.
   std::future<Score> Submit(const data::Example& example);
 
   /// Submit + wait.
   Score ScoreSync(const data::Example& example);
 
-  /// Zero-drop hot model swap; see SwappableModel::Swap. Also rebinds and
-  /// invalidates the embedding caches so resident rows never outlive the
-  /// version they were fetched from. Returns the retired version.
+  /// Zero-drop hot model swap; see SwappableModel::Swap. Returns the retired
+  /// version.
   std::unique_ptr<const FrozenModel> Swap(
       std::unique_ptr<const FrozenModel> next);
 
@@ -174,25 +171,14 @@ class Router {
     return *engines_[static_cast<std::size_t>(i)];
   }
   const SwappableModel& model() const { return model_; }
-  /// Embedding cache (shared across engines; exposed for tests).
-  ShardedEmbeddingCache& cache() { return cache_; }
 
  private:
-  void ResolveEmbeddings(const data::Example& example);
-
-  RouterConfig config_;
   SwappableModel model_;
-  std::unique_ptr<FrozenModelRowSource> row_source_;  // active version's rows
   ConsistentHashRing user_ring_;
-  ShardedEmbeddingCache cache_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  int deep_fields_;
-  int wide_fields_;
 
   obs::Counter obs_requests_;
   obs::Counter obs_swaps_;
-  obs::Counter obs_cache_hits_;
-  obs::Counter obs_cache_misses_;
 };
 
 }  // namespace serve

@@ -148,27 +148,6 @@ Tensor WeightedSum(const Tensor& a, const Tensor& weights);
 /// regularization.
 Tensor SquaredNorm(const Tensor& a);
 
-namespace reference {
-
-// Unfused composite implementations, kept as the ground truth that
-// kernel_test checks the fused ops against (values AND gradients). Built
-// entirely from the public ops above; not for production use.
-
-/// Mean as Scale(Sum(a), 1/size) — what ops::Mean fuses.
-Tensor Mean(const Tensor& a);
-/// WeightedSum as Sum(Mul(a, w)) — what ops::WeightedSum fuses.
-Tensor WeightedSum(const Tensor& a, const Tensor& weights);
-/// SquaredNorm as Sum(Square(a)) — what ops::SquaredNorm fuses.
-Tensor SquaredNorm(const Tensor& a);
-/// SigmoidBce as BceLoss(Sigmoid(z), y) — what ops::SigmoidBce fuses (equal
-/// within tolerance only: the composite clamps probabilities, the fused op
-/// computes in logit space).
-Tensor SigmoidBce(const Tensor& logits, const Tensor& target);
-/// EmbeddingConcat as per-field EmbeddingLookup + ConcatCols.
-Tensor EmbeddingConcat(const std::vector<Tensor>& tables,
-                       const std::vector<std::vector<int>>& field_ids);
-
-}  // namespace reference
 }  // namespace ops
 }  // namespace dcmt
 

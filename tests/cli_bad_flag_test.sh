@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# A batch size, queue bound or embedding width below 1 given to dcmt_cli
-# fails closed: the command exits 2 naming the flag, as a value that does
-# not parse does, never with a library abort (exit 134). So does a trainer
+# A batch size, queue bound, embedding width or other count below its floor
+# given to dcmt_cli fails closed: the command exits 2 naming the flag, as a
+# value that does not parse does, never with a library abort (exit 134) and
+# never silently clamped to the floor. So does a trainer
 # setting that would train nothing or diverge (an epoch count below 1, a
 # learning rate that is not positive and finite, a validation fraction
 # outside [0, 1)), and no such run writes its --ckpt. A run that diverges
@@ -53,6 +54,28 @@ for cmd in serve-bench router-bench; do
 done
 expect_exit_2 "continual --batch=0" --batch \
   "$CLI" continual --work-dir="$DIR/continual" --threads=1 --batch=0
+expect_exit_2 "train --prefetch-depth=-1" --prefetch-depth \
+  "$CLI" "${TRAIN[@]}" --prefetch-depth=-1
+expect_exit_2 "gen-shards --shard-rows=0" --shard-rows \
+  "$CLI" gen-shards --out-dir="$DIR/shards" --shard-rows=0
+expect_exit_2 "serve-bench --window=0" --window \
+  "$CLI" serve-bench --threads=1 --window=0
+for flag in engines requests clients; do
+  expect_exit_2 "router-bench --$flag=0" "--$flag" \
+    "$CLI" router-bench --threads=1 "--$flag=0"
+done
+CONTINUAL=(continual --work-dir="$DIR/continual" --threads=1)
+for flag in days pvs candidates exposed first-screen pretrain rows-per-shard \
+            engines; do
+  expect_exit_2 "continual --$flag=0" "--$flag" \
+    "$CLI" "${CONTINUAL[@]}" "--$flag=0"
+done
+expect_exit_2 "continual --segments=1" --segments \
+  "$CLI" "${CONTINUAL[@]}" --segments=1
+for flag in prefetch lag-max; do
+  expect_exit_2 "continual --$flag=-1" "--$flag" \
+    "$CLI" "${CONTINUAL[@]}" "--$flag=-1"
+done
 for v in 0 -1; do
   expect_exit_2 "train --epochs=$v" --epochs "$CLI" "${TRAIN[@]}" --epochs="$v"
   expect_exit_2 "continual --epochs=$v" --epochs \

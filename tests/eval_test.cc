@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -381,11 +380,10 @@ TEST_F(OnlineAbTest, BucketScoresMatchTapedForwardOverRawCandidateList) {
   ASSERT_EQ(raw_rows.size(), got.size());
 
   // Taped reference: one training-path Forward over all duplicated rows.
-  std::vector<std::int64_t> indices(raw_rows.size());
-  std::iota(indices.begin(), indices.end(), std::int64_t{0});
-  const data::Batch batch =
-      data::MakeBatch(raw_rows, indices, 0, static_cast<int>(raw_rows.size()),
-                      generator_->Schema());
+  const data::FeatureSchema schema = generator_->Schema();
+  data::BatchBuilder builder(schema, static_cast<int>(raw_rows.size()));
+  for (const data::Example& row : raw_rows) builder.Add(row);
+  const data::Batch batch = builder.Finish();
   const models::Predictions preds = model_b_->Forward(batch);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], preds.cvr.at(static_cast<int>(i), 0)) << "slot " << i;

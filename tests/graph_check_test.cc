@@ -13,7 +13,7 @@
 #include "data/profiles.h"
 #include "nn/graph_check.h"
 #include "serve/frozen_model.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 

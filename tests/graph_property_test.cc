@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"

@@ -36,7 +36,8 @@
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "models/multi_task_model.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
+#include "support/reference_ops.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"

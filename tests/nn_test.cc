@@ -9,7 +9,7 @@
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/ops.h"
 
 namespace dcmt {

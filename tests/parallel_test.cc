@@ -42,7 +42,7 @@
 #include "core/dcmt.h"
 #include "data/batcher.h"
 #include "optim/adam.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/ops.h"
 
 namespace dcmt {

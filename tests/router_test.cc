@@ -1,9 +1,8 @@
-// Tests for the sharded serving router tier (DESIGN.md §16): consistent-hash
-// ring determinism/coverage/minimal-remap, the per-shard embedding LRU cache
-// (eviction, SetSource invalidation, coherence against the live FrozenModel),
-// router score parity with direct FrozenModel scoring at one and several
-// threads, bounded-queue overload shedding, admission of malformed rows,
-// rejection after shutdown, and the zero-drop hot model swap (every
+// Tests for the multi-engine serving router tier (DESIGN.md §16):
+// consistent-hash ring determinism/coverage/minimal-remap, sticky user
+// routing, router score parity with direct FrozenModel scoring at one and
+// several threads, bounded-queue overload shedding, admission of malformed
+// rows, rejection after shutdown, and the zero-drop hot model swap (every
 // response bit-exact against exactly one of the two versions).
 
 // dcmt-lint: allow(concurrency) — cross-thread assertion counters.
@@ -32,7 +31,6 @@
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "serve/router.h"
-#include "serve/shard_cache.h"
 
 namespace dcmt {
 namespace {
@@ -116,106 +114,6 @@ TEST(ConsistentHashRingTest, AddingAShardRemapsOnlyOntoTheNewShard) {
   EXPECT_LT(moved, kKeys / 2);
 }
 
-// --- ShardedEmbeddingCache over a fake source. ------------------------------
-
-/// Deterministic in-memory row source: row (t, id) = [t*1000 + id] * dim.
-class FakeRowSource : public serve::EmbeddingRowSource {
- public:
-  FakeRowSource(int tables, int rows, int dim, float bias = 0.0f)
-      : tables_(tables), rows_(rows), dim_(dim), bias_(bias) {}
-  int table_count() const override { return tables_; }
-  int table_rows(int) const override { return rows_; }
-  int table_dim(int) const override { return dim_; }
-  bool Row(int table, int id, std::vector<float>* out) const override {
-    if (table < 0 || table >= tables_ || id < 0 || id >= rows_) return false;
-    out->assign(static_cast<std::size_t>(dim_),
-                static_cast<float>(table * 1000 + id) + bias_);
-    return true;
-  }
-
- private:
-  int tables_, rows_, dim_;
-  float bias_;
-};
-
-TEST(ShardCacheTest, HitsMissesAndLruEviction) {
-  const FakeRowSource source(1, 100, 4);
-  // One shard, capacity 2: eviction order is fully observable.
-  serve::ShardedEmbeddingCache cache(1, 2, &source);
-  std::vector<float> row;
-  bool hit = true;
-  ASSERT_TRUE(cache.Get(0, 10, &row, &hit));
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(row, std::vector<float>(4, 10.0f));
-  ASSERT_TRUE(cache.Get(0, 11, &row, &hit));
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.Get(0, 10, &row, &hit));  // refreshes 10's recency
-  EXPECT_TRUE(hit);
-  ASSERT_TRUE(cache.Get(0, 12, &row, &hit));  // evicts 11 (LRU), not 10
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.Get(0, 10, &row, &hit));
-  EXPECT_TRUE(hit);
-  ASSERT_TRUE(cache.Get(0, 11, &row, &hit));  // 11 was evicted: miss again
-  EXPECT_FALSE(hit);
-
-  const serve::ShardCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2);
-  EXPECT_EQ(stats.misses, 4);
-  EXPECT_EQ(stats.evictions, 2);
-  EXPECT_EQ(stats.resident_rows, 2);
-  EXPECT_EQ(stats.resident_bytes,
-            2 * static_cast<std::int64_t>(4 * sizeof(float)));
-}
-
-TEST(ShardCacheTest, OutOfRangeAndUnboundSourceReturnFalse) {
-  const FakeRowSource source(2, 10, 4);
-  serve::ShardedEmbeddingCache cache(2, 8, &source);
-  std::vector<float> row;
-  EXPECT_FALSE(cache.Get(2, 0, &row));   // table out of range
-  EXPECT_FALSE(cache.Get(0, 10, &row));  // id out of range
-  serve::ShardedEmbeddingCache unbound(2, 8, nullptr);
-  EXPECT_FALSE(unbound.Get(0, 0, &row));
-  EXPECT_EQ(unbound.stats().misses, 0);
-}
-
-TEST(ShardCacheTest, SetSourceInvalidatesEveryShardAndRebinds) {
-  const FakeRowSource a(1, 100, 4, /*bias=*/0.0f);
-  const FakeRowSource b(1, 100, 4, /*bias=*/0.5f);
-  // Capacity far above 20 rows: nothing evicts, so the resident count and
-  // the invalidation count are exact regardless of how the ring splits keys.
-  serve::ShardedEmbeddingCache cache(4, 64, &a);
-  std::vector<float> row;
-  for (int id = 0; id < 20; ++id) ASSERT_TRUE(cache.Get(0, id, &row));
-  EXPECT_EQ(cache.stats().resident_rows, 20);
-
-  cache.SetSource(&b);
-  serve::ShardCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.resident_rows, 0);
-  EXPECT_EQ(stats.resident_bytes, 0);
-  EXPECT_EQ(stats.invalidations, 20);
-
-  // Every row now comes from b — no stale a-row survives the rebind.
-  bool hit = true;
-  ASSERT_TRUE(cache.Get(0, 7, &row, &hit));
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(row, std::vector<float>(4, 7.5f));
-}
-
-TEST(ShardCacheTest, RowOwnershipFollowsTheRing) {
-  const FakeRowSource source(2, 50, 4);
-  serve::ShardedEmbeddingCache cache(3, 64, &source);
-  const serve::ConsistentHashRing ring(3, 64);
-  for (int table = 0; table < 2; ++table) {
-    for (int id = 0; id < 50; ++id) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(table))
-           << 32) |
-          static_cast<std::uint32_t>(id);
-      EXPECT_EQ(cache.ShardFor(table, id), ring.ShardFor(key));
-    }
-  }
-}
-
 // --- Router over trained models. --------------------------------------------
 
 class RouterTest : public ::testing::Test {
@@ -276,31 +174,6 @@ class RouterTest : public ::testing::Test {
   std::string path_b_;
 };
 
-TEST_F(RouterTest, CacheRowsMatchActiveModel) {
-  // Coherence: rows served through the sharded cache are bit-identical to
-  // the FrozenModel's own tables.
-  std::unique_ptr<serve::FrozenModel> frozen = LoadA();
-  ASSERT_NE(frozen, nullptr);
-  ASSERT_GT(frozen->EmbeddingTableCount(), 0);
-  serve::FrozenModelRowSource source(frozen.get());
-  serve::ShardedEmbeddingCache cache(3, 128, &source);
-  for (int table = 0; table < frozen->EmbeddingTableCount(); ++table) {
-    const int rows = frozen->EmbeddingTableRows(table);
-    ASSERT_GT(rows, 0);
-    for (int id = 0; id < rows; ++id) {
-      std::vector<float> via_cache, via_model;
-      ASSERT_TRUE(cache.Get(table, id, &via_cache));
-      ASSERT_TRUE(frozen->EmbeddingRow(table, id, &via_model));
-      ASSERT_EQ(via_cache, via_model) << "table " << table << " id " << id;
-      // Second read is a hit and must serve the same bits.
-      bool hit = false;
-      ASSERT_TRUE(cache.Get(table, id, &via_cache, &hit));
-      EXPECT_TRUE(hit);
-      ASSERT_EQ(via_cache, via_model);
-    }
-  }
-}
-
 TEST_F(RouterTest, RoutesAreStickyAndCoverAllEngines) {
   std::unique_ptr<serve::FrozenModel> frozen = LoadA();
   ASSERT_NE(frozen, nullptr);
@@ -347,8 +220,6 @@ TEST_F(RouterTest, ScoresMatchDirectModelAtOneAndManyThreads) {
     EXPECT_EQ(stats.scored, static_cast<std::int64_t>(rows_.size()));
     EXPECT_EQ(stats.rejected_overload, 0);
     EXPECT_EQ(stats.rejected_shutdown, 0);
-    // Embedding traffic flowed through the cache.
-    EXPECT_GT(stats.cache.hits + stats.cache.misses, 0);
   }
 }
 
@@ -573,31 +444,6 @@ TEST_F(RouterTest, HotSwapIsDropFreeAndBitExactUnderSustainedLoad) {
     const serve::RouterStats stats = router.stats();
     EXPECT_EQ(stats.swaps, 1);
     EXPECT_EQ(stats.scored, answered.load());
-    // The swap invalidated the embedding caches.
-    EXPECT_GT(stats.cache.invalidations, 0);
-  }
-}
-
-TEST_F(RouterTest, SwapRebindsCacheToNewVersionRows) {
-  std::unique_ptr<serve::FrozenModel> ref_b = LoadB();
-  ASSERT_NE(ref_b, nullptr);
-  std::unique_ptr<serve::FrozenModel> frozen = LoadA();
-  ASSERT_NE(frozen, nullptr);
-  serve::RouterConfig config;
-  config.num_engines = 2;
-  serve::Router router(std::move(frozen), config);
-  EXPECT_EQ(router.ScoreSync(rows_.front()).status, serve::ServeStatus::kOk);
-  ASSERT_GT(router.cache().stats().resident_rows, 0);
-
-  std::unique_ptr<const serve::FrozenModel> retired = router.Swap(LoadB());
-  ASSERT_NE(retired, nullptr);
-  // Post-swap, resolved rows must be B's bits (coherence across swap).
-  EXPECT_EQ(router.ScoreSync(rows_.front()).status, serve::ServeStatus::kOk);
-  for (int table = 0; table < ref_b->EmbeddingTableCount(); ++table) {
-    std::vector<float> via_cache, via_b;
-    ASSERT_TRUE(router.cache().Get(table, 0, &via_cache));
-    ASSERT_TRUE(ref_b->EmbeddingRow(table, 0, &via_b));
-    EXPECT_EQ(via_cache, via_b) << "table " << table;
   }
 }
 

@@ -1,4 +1,4 @@
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 
 #include <cmath>
 #include <cstdio>

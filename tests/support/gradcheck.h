@@ -1,5 +1,5 @@
-#ifndef DCMT_TENSOR_GRADCHECK_H_
-#define DCMT_TENSOR_GRADCHECK_H_
+#ifndef DCMT_TESTS_SUPPORT_GRADCHECK_H_
+#define DCMT_TESTS_SUPPORT_GRADCHECK_H_
 
 #include <functional>
 #include <string>
@@ -31,4 +31,4 @@ GradCheckResult CheckGradients(
 
 }  // namespace dcmt
 
-#endif  // DCMT_TENSOR_GRADCHECK_H_
+#endif  // DCMT_TESTS_SUPPORT_GRADCHECK_H_

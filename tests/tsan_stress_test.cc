@@ -683,8 +683,8 @@ TEST(TsanStress, ChannelCancelWakesBlockedProducer) {
 
 TEST(TsanStress, RouterSwapUnderSustainedLoad) {
   // Client threads hammer the router while another thread hot-swaps the
-  // model back and forth: TSan checks the Acquire/Release pin protocol, the
-  // double-buffer flip, and the cache rebind against real traffic.
+  // model back and forth: TSan checks the Acquire/Release pin protocol and
+  // the double-buffer flip against real traffic.
   ScopedParallelConfig config(2, 1);
   ServeStressFixture& fixture = ServeFixture();
   models::ModelConfig model_config;

@@ -111,14 +111,17 @@ int Usage() {
   return 2;
 }
 
-/// The int value of --`name`, which must be at least 1 (an epoch count, a
-/// batch size, a queue bound or a width). Anything smaller exits 2 the way a value that does not
-/// parse does, instead of reaching a library abort.
-int PositiveIntFlag(const eval::Flags& flags, const std::string& name) {
+/// The int value of --`name`, which must be at least `min` (a count, a
+/// batch size, a queue bound or a width). Anything smaller exits 2 the way
+/// a value that does not parse does, instead of being clamped or reaching
+/// a library abort.
+int IntFlagAtLeast(const eval::Flags& flags, const std::string& name,
+                   int min) {
   const int value = flags.GetInt(name);
-  if (value < 1) {
-    std::fprintf(stderr, "invalid value for --%s: '%s' (must be at least 1)\n",
-                 name.c_str(), flags.Get(name).c_str());
+  if (value < min) {
+    std::fprintf(stderr,
+                 "invalid value for --%s: '%s' (must be at least %d)\n",
+                 name.c_str(), flags.Get(name).c_str(), min);
     std::exit(2);
   }
   return value;
@@ -183,7 +186,7 @@ int WriteObsOutputs(const eval::Flags& flags) {
 
 models::ModelConfig ModelConfigFromFlags(const eval::Flags& flags) {
   models::ModelConfig config;
-  config.embedding_dim = PositiveIntFlag(flags, "embedding-dim");
+  config.embedding_dim = IntFlagAtLeast(flags, "embedding-dim", 1);
   config.lambda1 = static_cast<float>(flags.GetDouble("lambda1"));
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   return config;
@@ -234,7 +237,7 @@ int GenShardsCmd(int argc, char** argv) {
                        : generator.profile().train_exposures;
   }
   data::ShardWriterConfig config;
-  config.rows_per_shard = std::max(1, flags.GetInt("shard-rows"));
+  config.rows_per_shard = IntFlagAtLeast(flags, "shard-rows", 1);
   std::string error;
   if (!generator.GenerateToShards(flags.Get("out-dir"), count, stream, config,
                                   &error)) {
@@ -312,8 +315,9 @@ int TrainCmd(int argc, char** argv) {
   ApplyObsFlags(flags);
 
   eval::TrainConfig config;
-  config.epochs = PositiveIntFlag(flags, "epochs");
-  config.batch_size = PositiveIntFlag(flags, "batch");
+  config.epochs = IntFlagAtLeast(flags, "epochs", 1);
+  config.batch_size = IntFlagAtLeast(flags, "batch", 1);
+  const int prefetch_depth = IntFlagAtLeast(flags, "prefetch-depth", 0);
   config.learning_rate = static_cast<float>(PositiveFiniteFlag(flags, "lr"));
   config.weight_decay = static_cast<float>(flags.GetDouble("weight-decay"));
   config.validation_fraction = FractionFlag(flags, "val-fraction");
@@ -355,7 +359,7 @@ int TrainCmd(int argc, char** argv) {
     Rng shuffle_rng(config.seed);
     if (flags.GetInt("stream") != 0) {
       data::StreamingBatcher batcher(&dataset, config.batch_size, &shuffle_rng,
-                                     flags.GetInt("prefetch-depth"));
+                                     prefetch_depth);
       history = eval::TrainFromSource(model.get(), &batcher, &shuffle_rng,
                                       config);
     } else {
@@ -506,7 +510,7 @@ int CheckGraphCmd(int argc, char** argv) {
                            {"lambda1", "1.0"},
                            {"seed", "7"}});
   data::DatasetProfile profile = data::ProfileByName(flags.Get("profile"));
-  const int batch_size = PositiveIntFlag(flags, "batch");
+  const int batch_size = IntFlagAtLeast(flags, "batch", 1);
   // A few batches worth of exposures is plenty: the tape's structure does
   // not depend on the batch contents, only on the schema and model.
   profile.train_exposures = std::max(batch_size, 64);
@@ -592,13 +596,15 @@ int ServeBenchCmd(int argc, char** argv) {
         generator.Schema());
   }
 
+  // Flags are read before the engine starts: a bad one exits, and must not
+  // do so with a dispatcher thread running.
   serve::EngineConfig engine_config;
-  engine_config.max_batch = PositiveIntFlag(flags, "max-batch");
-  engine_config.queue_capacity = PositiveIntFlag(flags, "queue-capacity");
+  engine_config.max_batch = IntFlagAtLeast(flags, "max-batch", 1);
+  engine_config.queue_capacity = IntFlagAtLeast(flags, "queue-capacity", 1);
+  const int total = flags.GetInt("requests");
+  const int window = IntFlagAtLeast(flags, "window", 1);
   serve::Engine engine(frozen.get(), engine_config);
 
-  const int total = flags.GetInt("requests");
-  const int window = std::max(1, flags.GetInt("window"));
   const auto& profile = generator.profile();
   Rng traffic(static_cast<std::uint64_t>(flags.GetInt("seed")) ^
               0x5e7fe11aULL);
@@ -662,7 +668,6 @@ int RouterBenchCmd(int argc, char** argv) {
                            {"engines", "2"},
                            {"max-batch", "32"},
                            {"queue-capacity", "4096"},
-                           {"cache-rows", "4096"},
                            {"zipf-s", "1.1"},
                            {"swap", "1"},
                            {"overload", "1"},
@@ -701,15 +706,19 @@ int RouterBenchCmd(int argc, char** argv) {
     return 1;
   }
 
+  // Flags are read before the engines start: a bad one exits, and must not
+  // do so with dispatcher threads running.
   serve::RouterConfig router_config;
-  router_config.num_engines = std::max(1, flags.GetInt("engines"));
-  router_config.engine.max_batch = PositiveIntFlag(flags, "max-batch");
-  router_config.engine.queue_capacity = PositiveIntFlag(flags, "queue-capacity");
-  router_config.cache_rows_per_shard = flags.GetInt("cache-rows");
+  router_config.num_engines = IntFlagAtLeast(flags, "engines", 1);
+  router_config.engine.max_batch = IntFlagAtLeast(flags, "max-batch", 1);
+  router_config.engine.queue_capacity =
+      IntFlagAtLeast(flags, "queue-capacity", 1);
+  const int total = IntFlagAtLeast(flags, "requests", 1);
+  const int clients = IntFlagAtLeast(flags, "clients", 1);
   serve::Router router(std::move(initial), router_config);
 
-  // Zipf CDF over the user population: a few hot users dominate, which is
-  // what gives the sharded embedding cache a realistic hit pattern.
+  // Zipf CDF over the user population: a few hot users dominate, so the
+  // engines that own them carry more of the load.
   const double zipf_s = flags.GetDouble("zipf-s");
   const auto& profile = generator.profile();
   std::vector<double> zipf_cdf;
@@ -721,8 +730,6 @@ int RouterBenchCmd(int argc, char** argv) {
   }
   for (double& c : zipf_cdf) c /= zipf_total;
 
-  const int total = std::max(1, flags.GetInt("requests"));
-  const int clients = std::max(1, flags.GetInt("clients"));
   const int per_client = std::max(1, total / clients);
   const bool do_swap = flags.GetInt("swap") != 0;
 
@@ -804,12 +811,6 @@ int RouterBenchCmd(int argc, char** argv) {
   std::printf("  swaps           %lld (drop-free: %s)\n",
               static_cast<long long>(stats.swaps),
               dropped.load() == 0 ? "yes" : "NO");
-  std::printf("  embed cache     hits=%lld misses=%lld evictions=%lld "
-              "invalidations=%lld\n",
-              static_cast<long long>(stats.cache.hits),
-              static_cast<long long>(stats.cache.misses),
-              static_cast<long long>(stats.cache.evictions),
-              static_cast<long long>(stats.cache.invalidations));
   if (dropped.load() != 0) {
     std::fprintf(stderr,
                  "router-bench: %lld dropped/errored requests during the "
@@ -927,26 +928,27 @@ int ContinualCmd(int argc, char** argv) {
   if (flags.GetInt("items") > 0) profile.num_items = flags.GetInt("items");
 
   eval::ContinualConfig base;
-  base.ab.days = std::max(1, flags.GetInt("days"));
-  base.ab.page_views_per_day = std::max(1, flags.GetInt("pvs"));
-  base.ab.candidates_per_pv = std::max(1, flags.GetInt("candidates"));
-  base.ab.exposed_per_pv = std::max(1, flags.GetInt("exposed"));
-  base.ab.first_screen = std::max(1, flags.GetInt("first-screen"));
+  base.ab.days = IntFlagAtLeast(flags, "days", 1);
+  base.ab.page_views_per_day = IntFlagAtLeast(flags, "pvs", 1);
+  base.ab.candidates_per_pv = IntFlagAtLeast(flags, "candidates", 1);
+  base.ab.exposed_per_pv = IntFlagAtLeast(flags, "exposed", 1);
+  base.ab.first_screen = IntFlagAtLeast(flags, "first-screen", 1);
   base.ab.seed = static_cast<std::uint64_t>(flags.GetInt("seed")) + 801;
   base.ab.conversion_drift_scale =
       static_cast<float>(flags.GetDouble("drift"));
   base.variant = flags.Get("model");
   base.model = ModelConfigFromFlags(flags);
-  base.train.epochs = PositiveIntFlag(flags, "epochs");
-  base.train.batch_size = PositiveIntFlag(flags, "batch");
+  base.train.epochs = IntFlagAtLeast(flags, "epochs", 1);
+  base.train.batch_size = IntFlagAtLeast(flags, "batch", 1);
   base.train.learning_rate = static_cast<float>(PositiveFiniteFlag(flags, "lr"));
   base.train.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  base.pretrain_exposures = std::max<std::int64_t>(1, flags.GetInt("pretrain"));
-  base.intra_day_segments = std::max(2, flags.GetInt("segments"));
+  base.pretrain_exposures = IntFlagAtLeast(flags, "pretrain", 1);
+  base.intra_day_segments = IntFlagAtLeast(flags, "segments", 2);
   base.warm_start = flags.GetInt("warm") != 0;
-  base.rows_per_shard = std::max(1, flags.GetInt("rows-per-shard"));
-  base.router_engines = std::max(1, flags.GetInt("engines"));
-  base.prefetch_depth = std::max(0, flags.GetInt("prefetch"));
+  base.rows_per_shard = IntFlagAtLeast(flags, "rows-per-shard", 1);
+  base.router_engines = IntFlagAtLeast(flags, "engines", 1);
+  base.prefetch_depth = IntFlagAtLeast(flags, "prefetch", 0);
+  const int lag_max = IntFlagAtLeast(flags, "lag-max", 0);
 
   const auto parse_cadence =
       [](const std::string& name, eval::RefreshCadence* out) {
@@ -1003,7 +1005,7 @@ int ContinualCmd(int argc, char** argv) {
         {"never", eval::RefreshCadence::kNever},
         {"daily", eval::RefreshCadence::kDaily},
         {"intra", eval::RefreshCadence::kIntraDay}};
-    const int lags[] = {0, std::max(0, flags.GetInt("lag-max"))};
+    const int lags[] = {0, lag_max};
     struct SweepCell {
       std::string name;
       double mean_cvr_auc;
@@ -1032,8 +1034,7 @@ int ContinualCmd(int argc, char** argv) {
                  "continual: --refresh must be never, daily or intra\n");
     return 2;
   }
-  run_one(cadence, std::max(0, flags.GetInt("lag-max")),
-          flags.Get("work-dir"));
+  run_one(cadence, lag_max, flags.Get("work-dir"));
   return WriteObsOutputs(flags);
 }
 

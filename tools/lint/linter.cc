@@ -286,16 +286,14 @@ class Linter {
   }
 
   // src/core/ owns the thread-pool runtime. Under src/serve/ the sanction
-  // is per-file, not blanket: engine (request queue + dispatcher thread),
-  // router (swap double-buffer + engine fleet), and shard_cache (per-shard
-  // mutexes) own locks/atomics by design; everything else in the serving
-  // tier (frozen_model, future additions) is plain value code and must stay
-  // that way.
+  // is per-file, not blanket: engine (request queue + dispatcher thread) and
+  // router (swap double-buffer + engine fleet) own locks/atomics by design;
+  // everything else in the serving tier (frozen_model, future additions) is
+  // plain value code and must stay that way.
   bool InConcurrencySite() const {
     return StartsWith(path_, "src/core/") ||
            StartsWith(path_, "src/serve/engine.") ||
-           StartsWith(path_, "src/serve/router.") ||
-           StartsWith(path_, "src/serve/shard_cache.");
+           StartsWith(path_, "src/serve/router.");
   }
 
   // The sharded streaming data path: every byte it reads or writes must go
@@ -316,8 +314,8 @@ class Linter {
       if (!sanctioned && kConcurrencyHeaders.count(header) > 0) {
         Report("concurrency", line,
                "include of " + header +
-                   " outside src/core/ or the serve engine/router/"
-                   "shard_cache files — use core::ThreadPool or "
+                   " outside src/core/ or the serve engine/router "
+                   "files — use core::ThreadPool or "
                    "serve::Engine, the sanctioned concurrency sites");
       }
       if (InStreamIoSite() && header == "<fstream>") {
@@ -396,8 +394,8 @@ class Linter {
             kConcurrencyIdents.count(name->text) > 0) {
           Report("concurrency", t.line,
                  "std::" + name->text +
-                     " outside src/core/ or the serve engine/router/"
-                     "shard_cache files — use core::ThreadPool or "
+                     " outside src/core/ or the serve engine/router "
+                     "files — use core::ThreadPool or "
                      "serve::Engine, the sanctioned concurrency sites");
         }
       }
