@@ -18,8 +18,7 @@ namespace obs {
 //   * Handles are plain pointers into registry-owned cells. Every recording
 //     method first checks a global enabled flag with one relaxed atomic
 //     load; when observability is off (the default) a record call is a
-//     branch and nothing else. Defining DCMT_DISABLE_OBS compiles the
-//     recording methods away entirely.
+//     branch and nothing else.
 //   * Counters and sums shard their storage across a small set of
 //     cache-line-padded per-thread slots, so concurrent recording from pool
 //     workers never contends on one line. Aggregation happens only at
@@ -114,11 +113,9 @@ class Counter {
  public:
   Counter() = default;
   void Inc(std::int64_t n = 1) {
-#ifndef DCMT_DISABLE_OBS
     if (cell_ != nullptr && detail::g_enabled.load(std::memory_order_relaxed)) {
       cell_->Add(n);
     }
-#endif
   }
   /// Aggregated value (export-time operation, not for hot paths).
   std::int64_t value() const;
@@ -134,11 +131,9 @@ class Gauge {
  public:
   Gauge() = default;
   void Set(double v) {
-#ifndef DCMT_DISABLE_OBS
     if (cell_ != nullptr && detail::g_enabled.load(std::memory_order_relaxed)) {
       cell_->value.store(v, std::memory_order_relaxed);
     }
-#endif
   }
   double value() const;
 
@@ -156,11 +151,9 @@ class Sum {
  public:
   Sum() = default;
   void Add(double v) {
-#ifndef DCMT_DISABLE_OBS
     if (cell_ != nullptr && detail::g_enabled.load(std::memory_order_relaxed)) {
       cell_->Add(v);
     }
-#endif
   }
   double value() const;
 
@@ -176,11 +169,9 @@ class Histogram {
  public:
   Histogram() = default;
   void Observe(double v) {
-#ifndef DCMT_DISABLE_OBS
     if (cell_ != nullptr && detail::g_enabled.load(std::memory_order_relaxed)) {
       cell_->Observe(v);
     }
-#endif
   }
   int bins() const;
   std::int64_t count(int bin) const;
@@ -203,11 +194,9 @@ class TraceSpan {
   explicit TraceSpan(const char* name, const char* arg_name = nullptr,
                      std::int64_t arg = 0)
       : name_(name), arg_name_(arg_name), arg_(arg) {
-#ifndef DCMT_DISABLE_OBS
     if (detail::g_enabled.load(std::memory_order_relaxed)) {
       start_ns_ = NowNanos();
     }
-#endif
   }
   ~TraceSpan() {
     if (start_ns_ >= 0) {

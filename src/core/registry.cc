@@ -6,12 +6,9 @@
 #include "core/dcmt.h"
 #include "models/aitm.h"
 #include "models/cross_stitch.h"
-#include "models/escm2.h"
-#include "models/esmm.h"
 #include "models/mmoe.h"
-#include "models/multi_ipw_dr.h"
-#include "models/naive_cvr.h"
 #include "models/ple.h"
+#include "models/two_tower.h"
 
 namespace dcmt {
 namespace core {
@@ -26,13 +23,14 @@ std::unique_ptr<models::MultiTaskModel> CreateModel(
   if (name == "mmoe") return std::make_unique<models::Mmoe>(schema, config);
   if (name == "ple") return std::make_unique<models::Ple>(schema, config);
   if (name == "aitm") return std::make_unique<models::Aitm>(schema, config);
+  using Estimator = models::Escm2::Estimator;
   if (name == "escm2-ipw") {
-    return std::make_unique<models::Escm2>(schema, config,
-                                           models::Escm2::Variant::kIpw);
+    return std::make_unique<models::Escm2>(schema, config, Estimator::kIpw,
+                                           /*global_risk=*/true);
   }
   if (name == "escm2-dr") {
-    return std::make_unique<models::Escm2>(schema, config,
-                                           models::Escm2::Variant::kDr);
+    return std::make_unique<models::Escm2>(schema, config, Estimator::kDr,
+                                           /*global_risk=*/true);
   }
   if (name == "dcmt-pd") {
     return std::make_unique<Dcmt>(schema, config, Dcmt::Variant::kPd);
@@ -44,13 +42,14 @@ std::unique_ptr<models::MultiTaskModel> CreateModel(
     return std::make_unique<Dcmt>(schema, config, Dcmt::Variant::kFull);
   }
   if (name == "naive") return std::make_unique<models::NaiveCvr>(schema, config);
+  // Multi-IPW/DR is ESCM² without its CTCVR global risk term.
   if (name == "multi-ipw") {
-    return std::make_unique<models::MultiIpwDr>(schema, config,
-                                                models::MultiIpwDr::Variant::kIpw);
+    return std::make_unique<models::Escm2>(schema, config, Estimator::kIpw,
+                                           /*global_risk=*/false);
   }
   if (name == "multi-dr") {
-    return std::make_unique<models::MultiIpwDr>(schema, config,
-                                                models::MultiIpwDr::Variant::kDr);
+    return std::make_unique<models::Escm2>(schema, config, Estimator::kDr,
+                                           /*global_risk=*/false);
   }
   std::fprintf(stderr,
                "unknown model '%s'; valid: esmm, cross-stitch, mmoe, ple, "

@@ -12,7 +12,7 @@ Aitm::Aitm(const data::FeatureSchema& schema, const ModelConfig& config)
   Rng rng(config.seed);
   embeddings_ = std::make_unique<SharedEmbeddings>(schema, config.embedding_dim, &rng);
   RegisterChild(*embeddings_);
-  const int in = embeddings_->deep_width() + embeddings_->wide_width();
+  const int in = embeddings_->input_width();
   ctr_trunk_ = std::make_unique<nn::Mlp>("aitm.ctr.trunk", in, config.hidden_dims,
                                          &rng, nn::Activation::kRelu);
   RegisterChild(*ctr_trunk_);
@@ -35,10 +35,7 @@ Aitm::Aitm(const data::FeatureSchema& schema, const ModelConfig& config)
 }
 
 Predictions Aitm::ForwardRows(const data::Batch& batch) {
-  Tensor x = embeddings_->DeepInput(batch);
-  if (embeddings_->has_wide()) {
-    x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
-  }
+  const Tensor x = embeddings_->Input(batch);
   const Tensor h_ctr = ctr_trunk_->Forward(x);
   const Tensor h_cvr = cvr_trunk_->Forward(x);
 
@@ -70,16 +67,12 @@ Predictions Aitm::ForwardRows(const data::Batch& batch) {
 }
 
 Tensor Aitm::Loss(const data::Batch& batch, const Predictions& preds) {
-  const Tensor ctr = CtrLoss(preds, batch);
-  const Tensor cvr = CvrLossClickedOnly(preds, batch);
-  const Tensor ctcvr = CtcvrLoss(preds.ctcvr, batch);
   // Behavioral expectation calibrator: conversions cannot outnumber clicks,
   // so penalize pCTCVR > pCTR.
   const Tensor calibrator =
       ops::Mean(ops::Relu(ops::Sub(preds.ctcvr, preds.ctr)));
-  Tensor loss = ops::Add(ctr, ops::Scale(ctcvr, config_.w_ctcvr));
-  if (cvr.requires_grad()) loss = ops::Add(loss, ops::Scale(cvr, config_.w_cvr));
-  return ops::Add(loss, ops::Scale(calibrator, calibrator_weight_));
+  return ops::Add(MtlLoss(preds, batch, config_),
+                  ops::Scale(calibrator, calibrator_weight_));
 }
 
 }  // namespace models

@@ -30,6 +30,12 @@ Tensor SharedEmbeddings::WideInput(const data::Batch& batch) const {
   return wide_bag_->Forward(batch.wide_ids);
 }
 
+Tensor SharedEmbeddings::Input(const data::Batch& batch) const {
+  const Tensor deep = DeepInput(batch);
+  if (!wide_bag_) return deep;
+  return ops::ConcatCols({deep, WideInput(batch)});
+}
+
 Tower::Tower(std::string name, int in_features,
              const std::vector<int>& hidden_dims, Rng* rng) {
   trunk_ = std::make_unique<nn::Mlp>(name + ".trunk", in_features, hidden_dims,
@@ -44,13 +50,21 @@ Tensor Tower::ForwardLogit(const Tensor& x) const {
   return head_->Forward(trunk_->Forward(x));
 }
 
-Tensor Tower::ForwardProb(const Tensor& x) const {
-  return ops::Sigmoid(ForwardLogit(x));
-}
-
 Tensor Tower::ForwardProb(const Tensor& x, Tensor* logit) const {
   *logit = ForwardLogit(x);
   return ops::Sigmoid(*logit);
+}
+
+Tensor MixExperts(const std::vector<Tensor>& expert_outputs,
+                  const nn::Linear& gate, const Tensor& x) {
+  const Tensor weights = ops::SoftmaxRows(gate.Forward(x));  // [B x E]
+  Tensor mixed;
+  for (std::size_t e = 0; e < expert_outputs.size(); ++e) {
+    const Tensor w = ops::SliceCols(weights, static_cast<int>(e), 1);  // [B x 1]
+    const Tensor term = ops::Mul(expert_outputs[e], w);  // col-broadcast
+    mixed = mixed.defined() ? ops::Add(mixed, term) : term;
+  }
+  return mixed;
 }
 
 namespace {
@@ -74,7 +88,7 @@ Tensor ClickedOnlyWeights(const data::Batch& batch) {
 Tensor IpwWeights(const Tensor& pctr_detached, const data::Batch& batch,
                   float clip) {
   if (pctr_detached.requires_grad()) {
-    std::fprintf(stderr, "IpwCvrLoss: propensities must be detached\n");
+    std::fprintf(stderr, "IPW weights: propensities must be detached\n");
     std::abort();
   }
   const float* p = pctr_detached.data();
@@ -90,26 +104,6 @@ Tensor IpwWeights(const Tensor& pctr_detached, const data::Batch& batch,
 }
 
 }  // namespace
-
-Tensor CtrLoss(const Tensor& pctr, const data::Batch& batch) {
-  return ops::Mean(ops::BceLoss(pctr, batch.click));
-}
-
-Tensor CtcvrLoss(const Tensor& pctcvr, const data::Batch& batch) {
-  return ops::Mean(ops::BceLoss(pctcvr, batch.ctcvr));
-}
-
-Tensor CvrLossClickedOnly(const Tensor& pcvr, const data::Batch& batch) {
-  const Tensor weights = ClickedOnlyWeights(batch);
-  if (!weights.defined()) return Tensor::Scalar(0.0f, /*requires_grad=*/false);
-  return ops::WeightedSum(ops::BceLoss(pcvr, batch.conversion), weights);
-}
-
-Tensor IpwCvrLoss(const Tensor& pcvr, const Tensor& pctr_detached,
-                  const data::Batch& batch, float clip) {
-  const Tensor w = IpwWeights(pctr_detached, batch, clip);
-  return ops::WeightedSum(ops::BceLoss(pcvr, batch.conversion), w);
-}
 
 Tensor CtrExampleLoss(const Predictions& preds, const data::Batch& batch) {
   return preds.ctr_logit.defined()
@@ -127,6 +121,10 @@ Tensor CtrLoss(const Predictions& preds, const data::Batch& batch) {
   return ops::Mean(CtrExampleLoss(preds, batch));
 }
 
+Tensor CtcvrLoss(const Tensor& pctcvr, const data::Batch& batch) {
+  return ops::Mean(ops::BceLoss(pctcvr, batch.ctcvr));
+}
+
 Tensor CvrLossClickedOnly(const Predictions& preds, const data::Batch& batch) {
   const Tensor weights = ClickedOnlyWeights(batch);
   if (!weights.defined()) return Tensor::Scalar(0.0f, /*requires_grad=*/false);
@@ -137,6 +135,26 @@ Tensor IpwCvrLoss(const Predictions& preds, const Tensor& pctr_detached,
                   const data::Batch& batch, float clip) {
   const Tensor w = IpwWeights(pctr_detached, batch, clip);
   return ops::WeightedSum(CvrExampleLoss(preds, batch), w);
+}
+
+Tensor DrCvrLoss(const Predictions& preds, const Tensor& pctr_detached,
+                 const data::Batch& batch, float clip) {
+  const Tensor delta = ops::Sub(CvrExampleLoss(preds, batch), preds.imputed_error);
+  const Tensor w = IpwWeights(pctr_detached, batch, clip);
+  const Tensor dr =
+      ops::Add(ops::Mean(preds.imputed_error), ops::WeightedSum(delta, w));
+  const Tensor imp = ops::WeightedSum(ops::Square(delta), w);
+  return ops::Add(dr, imp);
+}
+
+Tensor MtlLoss(const Predictions& preds, const data::Batch& batch,
+               const ModelConfig& config) {
+  const Tensor ctr = CtrLoss(preds, batch);
+  const Tensor cvr = CvrLossClickedOnly(preds, batch);
+  const Tensor ctcvr = CtcvrLoss(preds.ctcvr, batch);
+  Tensor loss = ops::Add(ctr, ops::Scale(ctcvr, config.w_ctcvr));
+  if (cvr.requires_grad()) loss = ops::Add(loss, ops::Scale(cvr, config.w_cvr));
+  return loss;
 }
 
 std::vector<float> ColumnToVector(const Tensor& t) {

@@ -11,7 +11,7 @@ CrossStitch::CrossStitch(const data::FeatureSchema& schema,
   Rng rng(config.seed);
   embeddings_ = std::make_unique<SharedEmbeddings>(schema, config.embedding_dim, &rng);
   RegisterChild(*embeddings_);
-  int in = embeddings_->deep_width() + embeddings_->wide_width();
+  int in = embeddings_->input_width();
   for (std::size_t l = 0; l < config.hidden_dims.size(); ++l) {
     const int out = config.hidden_dims[l];
     auto a = std::make_unique<nn::Linear>("stitch.ctr.l" + std::to_string(l), in,
@@ -39,11 +39,8 @@ CrossStitch::CrossStitch(const data::FeatureSchema& schema,
 }
 
 Predictions CrossStitch::ForwardRows(const data::Batch& batch) {
-  Tensor x = embeddings_->DeepInput(batch);
-  if (embeddings_->has_wide()) {
-    x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
-  }
-  Tensor ha = x, hb = x;
+  Tensor ha = embeddings_->Input(batch);
+  Tensor hb = ha;
   for (std::size_t l = 0; l < ctr_layers_.size(); ++l) {
     ha = ctr_layers_[l]->ForwardRelu(ha);
     hb = cvr_layers_[l]->ForwardRelu(hb);
@@ -63,12 +60,7 @@ Predictions CrossStitch::ForwardRows(const data::Batch& batch) {
 }
 
 Tensor CrossStitch::Loss(const data::Batch& batch, const Predictions& preds) {
-  const Tensor ctr = CtrLoss(preds, batch);
-  const Tensor cvr = CvrLossClickedOnly(preds, batch);
-  const Tensor ctcvr = CtcvrLoss(preds.ctcvr, batch);
-  Tensor loss = ops::Add(ctr, ops::Scale(ctcvr, config_.w_ctcvr));
-  if (cvr.requires_grad()) loss = ops::Add(loss, ops::Scale(cvr, config_.w_cvr));
-  return loss;
+  return MtlLoss(preds, batch, config_);
 }
 
 }  // namespace models

@@ -10,7 +10,7 @@ Mmoe::Mmoe(const data::FeatureSchema& schema, const ModelConfig& config)
   Rng rng(config.seed);
   embeddings_ = std::make_unique<SharedEmbeddings>(schema, config.embedding_dim, &rng);
   RegisterChild(*embeddings_);
-  const int in = embeddings_->deep_width() + embeddings_->wide_width();
+  const int in = embeddings_->input_width();
 
   // Experts are single-hidden-layer MLPs at the first tower width; the task
   // towers add the remaining depth (standard MMOE decomposition).
@@ -38,43 +38,23 @@ Mmoe::Mmoe(const data::FeatureSchema& schema, const ModelConfig& config)
   RegisterChild(*cvr_tower_);
 }
 
-Tensor Mmoe::MixExperts(const std::vector<Tensor>& expert_outputs,
-                        const Tensor& x, const nn::Linear& gate) const {
-  const Tensor weights = ops::SoftmaxRows(gate.Forward(x));  // [B x E]
-  Tensor mixed;
-  for (std::size_t e = 0; e < expert_outputs.size(); ++e) {
-    const Tensor w = ops::SliceCols(weights, static_cast<int>(e), 1);  // [B x 1]
-    const Tensor term = ops::Mul(expert_outputs[e], w);  // col-broadcast
-    mixed = mixed.defined() ? ops::Add(mixed, term) : term;
-  }
-  return mixed;
-}
-
 Predictions Mmoe::ForwardRows(const data::Batch& batch) {
-  Tensor x = embeddings_->DeepInput(batch);
-  if (embeddings_->has_wide()) {
-    x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
-  }
+  const Tensor x = embeddings_->Input(batch);
   std::vector<Tensor> expert_outputs;
   expert_outputs.reserve(experts_.size());
   for (const auto& expert : experts_) expert_outputs.push_back(expert->Forward(x));
 
   Predictions preds;
-  preds.ctr = ctr_tower_->ForwardProb(MixExperts(expert_outputs, x, *ctr_gate_),
+  preds.ctr = ctr_tower_->ForwardProb(MixExperts(expert_outputs, *ctr_gate_, x),
                                       &preds.ctr_logit);
-  preds.cvr = cvr_tower_->ForwardProb(MixExperts(expert_outputs, x, *cvr_gate_),
+  preds.cvr = cvr_tower_->ForwardProb(MixExperts(expert_outputs, *cvr_gate_, x),
                                       &preds.cvr_logit);
   preds.ctcvr = ops::Mul(preds.ctr, preds.cvr);
   return preds;
 }
 
 Tensor Mmoe::Loss(const data::Batch& batch, const Predictions& preds) {
-  const Tensor ctr = CtrLoss(preds, batch);
-  const Tensor cvr = CvrLossClickedOnly(preds, batch);
-  const Tensor ctcvr = CtcvrLoss(preds.ctcvr, batch);
-  Tensor loss = ops::Add(ctr, ops::Scale(ctcvr, config_.w_ctcvr));
-  if (cvr.requires_grad()) loss = ops::Add(loss, ops::Scale(cvr, config_.w_cvr));
-  return loss;
+  return MtlLoss(preds, batch, config_);
 }
 
 }  // namespace models

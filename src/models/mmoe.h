@@ -26,10 +26,6 @@ class Mmoe : public MultiTaskModel {
   Predictions ForwardRows(const data::Batch& batch) override;
 
  private:
-  /// Gated mixture of expert outputs for one task.
-  Tensor MixExperts(const std::vector<Tensor>& expert_outputs, const Tensor& x,
-                    const nn::Linear& gate) const;
-
   ModelConfig config_;
   std::unique_ptr<SharedEmbeddings> embeddings_;
   std::vector<std::unique_ptr<nn::Mlp>> experts_;

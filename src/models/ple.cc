@@ -10,7 +10,7 @@ Ple::Ple(const data::FeatureSchema& schema, const ModelConfig& config)
   Rng rng(config.seed);
   embeddings_ = std::make_unique<SharedEmbeddings>(schema, config.embedding_dim, &rng);
   RegisterChild(*embeddings_);
-  const int in = embeddings_->deep_width() + embeddings_->wide_width();
+  const int in = embeddings_->input_width();
   const int expert_width = config.hidden_dims.front();
 
   auto make_pool = [&](const std::string& tag, int count,
@@ -49,22 +49,11 @@ Tensor Ple::TaskMixture(const Tensor& x,
   outputs.reserve(own.size() + shared_experts_.size());
   for (const auto& expert : own) outputs.push_back(expert->Forward(x));
   for (const auto& expert : shared_experts_) outputs.push_back(expert->Forward(x));
-
-  const Tensor weights = ops::SoftmaxRows(gate.Forward(x));
-  Tensor mixed;
-  for (std::size_t e = 0; e < outputs.size(); ++e) {
-    const Tensor w = ops::SliceCols(weights, static_cast<int>(e), 1);
-    const Tensor term = ops::Mul(outputs[e], w);
-    mixed = mixed.defined() ? ops::Add(mixed, term) : term;
-  }
-  return mixed;
+  return MixExperts(outputs, gate, x);
 }
 
 Predictions Ple::ForwardRows(const data::Batch& batch) {
-  Tensor x = embeddings_->DeepInput(batch);
-  if (embeddings_->has_wide()) {
-    x = ops::ConcatCols({x, embeddings_->WideInput(batch)});
-  }
+  const Tensor x = embeddings_->Input(batch);
   Predictions preds;
   preds.ctr = ctr_tower_->ForwardProb(TaskMixture(x, ctr_experts_, *ctr_gate_),
                                       &preds.ctr_logit);
@@ -75,12 +64,7 @@ Predictions Ple::ForwardRows(const data::Batch& batch) {
 }
 
 Tensor Ple::Loss(const data::Batch& batch, const Predictions& preds) {
-  const Tensor ctr = CtrLoss(preds, batch);
-  const Tensor cvr = CvrLossClickedOnly(preds, batch);
-  const Tensor ctcvr = CtcvrLoss(preds.ctcvr, batch);
-  Tensor loss = ops::Add(ctr, ops::Scale(ctcvr, config_.w_ctcvr));
-  if (cvr.requires_grad()) loss = ops::Add(loss, ops::Scale(cvr, config_.w_cvr));
-  return loss;
+  return MtlLoss(preds, batch, config_);
 }
 
 }  // namespace models

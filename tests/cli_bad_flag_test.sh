@@ -7,7 +7,9 @@
 # learning rate that is not positive and finite, a validation fraction
 # outside [0, 1)), and no such run writes its --ckpt. A run that diverges
 # anyway (a finite but huge --lr) stops at its first non-finite step loss,
-# naming the epoch and step, exits 1 and writes no --ckpt either.
+# naming the epoch and step, exits 1 and writes no --ckpt either. A
+# router-bench --requests count that --clients does not divide is sent
+# exactly, not rounded.
 #
 # Usage: tests/cli_bad_flag_test.sh path/to/dcmt_cli
 set -u
@@ -113,5 +115,17 @@ if ! "$CLI" check-graph --model=dcmt --batch=1 > "$DIR/out.txt" 2>&1; then
   echo "FAIL check-graph --batch=1 rejected"; cat "$DIR/out.txt"; status=1
 else
   echo "ok   check-graph --batch=1"
+fi
+
+# --requests is sent exactly, not rounded to a multiple of --clients.
+if ! "$CLI" router-bench --threads=1 --requests=7 --clients=3 --swap=0 \
+     --overload=0 > "$DIR/out.txt" 2>&1; then
+  echo "FAIL router-bench --requests=7 --clients=3 failed"; cat "$DIR/out.txt"
+  status=1
+elif ! grep -q "requests=7$" "$DIR/out.txt"; then
+  echo "FAIL router-bench --requests=7 --clients=3: not 7 requests"
+  cat "$DIR/out.txt"; status=1
+else
+  echo "ok   router-bench --requests=7 --clients=3 sends 7"
 fi
 exit $status

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "eval/online_ab.h"
 #include "eval/oracle_ranker.h"
 #include "nn/serialize.h"
+#include "support/byte_flip.h"
 
 namespace dcmt {
 namespace {
@@ -46,19 +46,6 @@ std::string TempDirFor(const std::string& name) {
   std::filesystem::remove_all(dir);
   core::FileSystem::Default()->CreateDirectories(dir);
   return dir;
-}
-
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileOrDie(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  ASSERT_TRUE(out.good());
 }
 
 /// The tiny world every OnlineAb golden was captured in.
@@ -530,36 +517,7 @@ TEST(ContinualShardTest, ByteFlipFuzzerEveryOffsetRejectedWithLagColumn) {
   ASSERT_TRUE(data::StreamingDataset::Open(dir, data::StreamingConfig{},
                                            &dataset, &error))
       << error;
-
-  const std::string shard_path = dir + "/" + data::ShardFileName(0);
-  const std::string shard_image = ReadFileOrDie(shard_path);
-  data::ShardColumns rows;
-  ASSERT_TRUE(dataset.ReadShard(0, &rows, &error)) << error;
-
-  for (std::size_t i = 0; i < shard_image.size(); ++i) {
-    std::string mutated = shard_image;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
-    WriteFileOrDie(shard_path, mutated);
-    error.clear();
-    EXPECT_FALSE(dataset.ReadShard(0, &rows, &error))
-        << "flip at shard byte " << i << " decoded anyway";
-  }
-  WriteFileOrDie(shard_path, shard_image);  // restore
-  ASSERT_TRUE(dataset.ReadShard(0, &rows, &error)) << error;
-
-  const std::string manifest_path =
-      dir + "/" + std::string(data::kManifestFileName);
-  const std::string manifest_image = ReadFileOrDie(manifest_path);
-  for (std::size_t i = 0; i < manifest_image.size(); ++i) {
-    std::string mutated = manifest_image;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
-    WriteFileOrDie(manifest_path, mutated);
-    data::ShardManifest manifest;
-    error.clear();
-    EXPECT_FALSE(data::ReadManifest(nullptr, dir, &manifest, &error))
-        << "flip at manifest byte " << i << " decoded anyway";
-  }
-  WriteFileOrDie(manifest_path, manifest_image);
+  ExpectEveryShardAndManifestFlipRejected(dataset, dir);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // DR imputation, AITM calibrator).
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "data/batcher.h"
 #include "data/generator.h"
 #include "data/profiles.h"
+#include "eval/checkpointer.h"
 #include "models/common.h"
 #include "optim/adam.h"
 #include "serve/frozen_model.h"
@@ -195,6 +198,51 @@ TEST(RegistryTest, InfoNamesMatchRegistryNames) {
   }
 }
 
+TEST(RegistryTest, ParameterInventoryIsPinned) {
+  // eval::FingerprintModelVariant hashes the variant name and every
+  // parameter's name and shape in registration order, so it is host
+  // independent. A rename or reorder breaks existing checkpoints and the
+  // Adam moment layout; these constants pin the inventory of every variant.
+  struct Pin {
+    const char* name;
+    std::uint64_t wide;
+    std::uint64_t deep_only;
+  };
+  const Pin pins[] = {
+      {"naive", 0x1786565b5e1d7059ull, 0xa4595100bb637ff1ull},
+      {"multi-ipw", 0x6f201296966f85f4ull, 0x0e7b084e494f7548ull},
+      {"multi-dr", 0x006a75a09d023683ull, 0xc2fca8c92eee73dfull},
+      {"esmm", 0x7168aa00e57285a7ull, 0x472dda366542b00bull},
+      {"cross-stitch", 0xb882349c40aef66full, 0xb42f914ab0cdada3ull},
+      {"mmoe", 0xe247a2931c5dcf87ull, 0x72eca5809a6e36e3ull},
+      {"ple", 0x242306b09a2ad751ull, 0xbb0169f7085465d9ull},
+      {"aitm", 0x4c7ef95444f00b6aull, 0x6eeb8bcbe46024f2ull},
+      {"escm2-ipw", 0x19971497be23f549ull, 0x11be9d7a718b0711ull},
+      {"escm2-dr", 0xddc3f20bf87c4582ull, 0x2e420daf64f9bf86ull},
+      {"dcmt-pd", 0x99db4e4fa5d68ef9ull, 0x519c154d401bb21full},
+      {"dcmt-cf", 0xde602611ac54b222ull, 0x257ad9b40368e95cull},
+      {"dcmt", 0x16a8f58deebc33c5ull, 0x94b87443f944d443ull},
+  };
+  const std::vector<std::string> names = core::ExtendedModelNames();
+  ASSERT_EQ(names.size(), std::size(pins));
+  const data::FeatureSchema wide =
+      data::SyntheticLogGenerator(TinyProfile(true)).Schema();
+  const data::FeatureSchema deep_only =
+      data::SyntheticLogGenerator(TinyProfile(false)).Schema();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Pin& pin = pins[i];
+    ASSERT_EQ(names[i], pin.name);
+    const auto with_wide = core::CreateModel(names[i], wide, TinyConfig());
+    const auto without_wide =
+        core::CreateModel(names[i], deep_only, TinyConfig());
+    EXPECT_EQ(eval::FingerprintModelVariant(*with_wide, names[i]), pin.wide)
+        << names[i] << " with wide fields";
+    EXPECT_EQ(eval::FingerprintModelVariant(*without_wide, names[i]),
+              pin.deep_only)
+        << names[i] << " without wide fields";
+  }
+}
+
 // --- Doubly robust imputation travels with its batch ----------------------------
 
 class DrImputationTest : public ::testing::TestWithParam<std::string> {};
@@ -242,8 +290,9 @@ TEST(LossHelpersTest, CvrLossClickedOnlyIgnoresNonClicked) {
   const data::Dataset train = gen.GenerateTrain();
   const data::Batch batch = data::MakeContiguousBatch(train, 0, 64);
   // Constant prediction: the loss must equal mean BCE over clicked rows only.
-  Tensor pcvr = Tensor::Full(64, 1, 0.3f, /*requires_grad=*/true);
-  const Tensor loss = models::CvrLossClickedOnly(pcvr, batch);
+  models::Predictions preds;
+  preds.cvr = Tensor::Full(64, 1, 0.3f, /*requires_grad=*/true);
+  const Tensor loss = models::CvrLossClickedOnly(preds, batch);
   double expected = 0.0;
   int clicked = 0;
   for (int i = 0; i < 64; ++i) {
@@ -261,8 +310,9 @@ TEST(LossHelpersTest, CvrLossClickedOnlyZeroWhenNoClicks) {
   data::SyntheticLogGenerator gen(TinyProfile());
   data::Dataset nonclicked = gen.GenerateTrain().NonClickedSubset();
   const data::Batch batch = data::MakeContiguousBatch(nonclicked, 0, 32);
-  Tensor pcvr = Tensor::Full(32, 1, 0.5f, /*requires_grad=*/true);
-  const Tensor loss = models::CvrLossClickedOnly(pcvr, batch);
+  models::Predictions preds;
+  preds.cvr = Tensor::Full(32, 1, 0.5f, /*requires_grad=*/true);
+  const Tensor loss = models::CvrLossClickedOnly(preds, batch);
   EXPECT_EQ(loss.item(), 0.0f);
   EXPECT_FALSE(loss.requires_grad());
 }
@@ -278,9 +328,10 @@ TEST(LossHelpersTest, IpwUpweightsLowPropensityClicks) {
   batch.conversion = Tensor::ColumnVector({1.0f, 1.0f});
   batch.ctcvr = Tensor::ColumnVector({1.0f, 1.0f});
 
-  Tensor pcvr = Tensor::Full(2, 1, 0.5f, /*requires_grad=*/true);
+  models::Predictions preds;
+  preds.cvr = Tensor::Full(2, 1, 0.5f, /*requires_grad=*/true);
   const Tensor low_prop = Tensor::ColumnVector({0.1f, 0.9f});
-  const Tensor loss = models::IpwCvrLoss(pcvr, low_prop, batch, 0.05f);
+  const Tensor loss = models::IpwCvrLoss(preds, low_prop, batch, 0.05f);
   // Weights: (1/0.1 + 1/0.9)/2; per-sample BCE = -log(0.5).
   const double expected = (1.0 / 0.1 + 1.0 / 0.9) / 2.0 * -std::log(0.5);
   EXPECT_NEAR(loss.item(), expected, 1e-4);
@@ -294,9 +345,10 @@ TEST(LossHelpersTest, IpwClipsExtremePropensities) {
   batch.click = Tensor::ColumnVector({1.0f});
   batch.conversion = Tensor::ColumnVector({0.0f});
   batch.ctcvr = Tensor::ColumnVector({0.0f});
-  Tensor pcvr = Tensor::Full(1, 1, 0.5f, /*requires_grad=*/true);
+  models::Predictions preds;
+  preds.cvr = Tensor::Full(1, 1, 0.5f, /*requires_grad=*/true);
   const Tensor tiny_prop = Tensor::ColumnVector({1e-6f});
-  const Tensor loss = models::IpwCvrLoss(pcvr, tiny_prop, batch, 0.05f);
+  const Tensor loss = models::IpwCvrLoss(preds, tiny_prop, batch, 0.05f);
   // Clipped at 0.05 -> weight 20, not 1e6.
   EXPECT_NEAR(loss.item(), 20.0 * -std::log(0.5), 1e-3);
 }

@@ -41,6 +41,7 @@
 #include "data/shard.h"
 #include "data/stream.h"
 #include "eval/trainer.h"
+#include "support/byte_flip.h"
 #include "tensor/random.h"
 
 namespace dcmt {
@@ -762,38 +763,7 @@ TEST(StreamTest, ShardSwapAcrossIndicesIsRejected) {
 TEST(StreamTest, ByteFlipFuzzerEveryOffsetRejectedShardAndManifest) {
   // Small dataset so the fuzz loop stays fast: 64 rows, 32/shard.
   const std::string dir = GenShardsOrDie("fault_fuzz", 64, 32);
-  const data::StreamingDataset dataset = OpenOrDie(dir);
-
-  const std::string shard_path = dir + "/" + data::ShardFileName(0);
-  const std::string shard_image = ReadFileOrDie(shard_path);
-  data::ShardColumns rows;
-  std::string error;
-  ASSERT_TRUE(dataset.ReadShard(0, &rows, &error)) << error;
-
-  for (std::size_t i = 0; i < shard_image.size(); ++i) {
-    std::string mutated = shard_image;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
-    WriteFileOrDie(shard_path, mutated);
-    error.clear();
-    // Reject-or-exact: a single flipped bit is never bit-exact, so every
-    // offset must be rejected — magic, version, type, length, payload, CRC.
-    EXPECT_FALSE(dataset.ReadShard(0, &rows, &error))
-        << "flip at shard byte " << i << " decoded anyway";
-  }
-  WriteFileOrDie(shard_path, shard_image);  // restore
-
-  const std::string manifest_path = dir + "/" + std::string(data::kManifestFileName);
-  const std::string manifest_image = ReadFileOrDie(manifest_path);
-  for (std::size_t i = 0; i < manifest_image.size(); ++i) {
-    std::string mutated = manifest_image;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
-    WriteFileOrDie(manifest_path, mutated);
-    data::ShardManifest manifest;
-    error.clear();
-    EXPECT_FALSE(data::ReadManifest(nullptr, dir, &manifest, &error))
-        << "flip at manifest byte " << i << " decoded anyway";
-  }
-  WriteFileOrDie(manifest_path, manifest_image);
+  ExpectEveryShardAndManifestFlipRejected(OpenOrDie(dir), dir);
 }
 
 // ---------------------------------------------------------------------------

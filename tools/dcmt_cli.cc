@@ -730,7 +730,6 @@ int RouterBenchCmd(int argc, char** argv) {
   }
   for (double& c : zipf_cdf) c /= zipf_total;
 
-  const int per_client = std::max(1, total / clients);
   const bool do_swap = flags.GetInt("swap") != 0;
 
   // --- Phase 1: closed-loop clients, diurnal pacing, mid-run hot swap. -----
@@ -748,8 +747,11 @@ int RouterBenchCmd(int argc, char** argv) {
         Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed")) * 1000003 +
                 static_cast<std::uint64_t>(c));
         std::vector<double>& mine = latencies[static_cast<std::size_t>(c)];
-        mine.reserve(static_cast<std::size_t>(per_client));
-        for (int i = 0; i < per_client; ++i) {
+        // Exactly `total` requests: the first total % clients clients send
+        // one more than the rest.
+        const int count = total / clients + (c < total % clients ? 1 : 0);
+        mine.reserve(static_cast<std::size_t>(count));
+        for (int i = 0; i < count; ++i) {
           // Compressed diurnal curve: one "day" per 200 requests; off-peak
           // the client idles up to ~200us between requests.
           const double phase = 2.0 * M_PI * static_cast<double>(i) / 200.0;
@@ -800,9 +802,9 @@ int RouterBenchCmd(int argc, char** argv) {
   };
 
   const serve::RouterStats stats = router.stats();
-  std::printf("router-bench model=%s engines=%d clients=%d requests=%lld\n",
+  std::printf("router-bench model=%s engines=%d clients=%d requests=%d\n",
               flags.Get("model").c_str(), router.num_engines(), clients,
-              static_cast<long long>(clients) * per_client);
+              total);
   std::printf("  wall            %.3f s (%.0f req/s)\n", wall,
               static_cast<double>(all.size()) / wall);
   std::printf("  latency         p50=%.0fus p99=%.0fus p999=%.0fus\n",
