@@ -135,8 +135,6 @@ void BM_Sigmoid(benchmark::State& state) { Elementwise(state, ops::Sigmoid); }
 BENCHMARK(BM_Sigmoid);
 void BM_Tanh(benchmark::State& state) { Elementwise(state, ops::Tanh); }
 BENCHMARK(BM_Tanh);
-void BM_Exp(benchmark::State& state) { Elementwise(state, ops::Exp); }
-BENCHMARK(BM_Exp);
 void BM_Softplus(benchmark::State& state) { Elementwise(state, ops::Softplus); }
 BENCHMARK(BM_Softplus);
 void BM_Relu(benchmark::State& state) { Elementwise(state, ops::Relu); }
@@ -282,15 +280,6 @@ void BM_MeanUnfused(benchmark::State& state) {
   ReductionPair(state, false, ops::Mean, ops::reference::Mean);
 }
 BENCHMARK(BM_MeanUnfused);
-
-void BM_SquaredNormFused(benchmark::State& state) {
-  ReductionPair(state, true, ops::SquaredNorm, ops::reference::SquaredNorm);
-}
-BENCHMARK(BM_SquaredNormFused);
-void BM_SquaredNormUnfused(benchmark::State& state) {
-  ReductionPair(state, false, ops::SquaredNorm, ops::reference::SquaredNorm);
-}
-BENCHMARK(BM_SquaredNormUnfused);
 
 void BM_WeightedSumFused(benchmark::State& state) {
   Rng rng(6);

@@ -51,20 +51,6 @@ data::SyntheticLogGenerator& Generator() {
   return generator;
 }
 
-/// One shard's worth of rows, drawn once.
-const std::vector<data::Example>& ShardRows() {
-  static const std::vector<data::Example> rows = [] {
-    Rng rng(1234);
-    std::vector<data::Example> drawn;
-    drawn.reserve(static_cast<std::size_t>(kRowsPerShard));
-    for (std::int64_t i = 0; i < kRowsPerShard; ++i) {
-      drawn.push_back(Generator().DrawExposure(&rng));
-    }
-    return drawn;
-  }();
-  return rows;
-}
-
 /// A shard directory with kRows rows, generated once per process.
 const std::string& ShardDir() {
   static const std::string dir = [] {
@@ -84,9 +70,17 @@ const std::string& ShardDir() {
 
 void BM_ShardEncode(benchmark::State& state) {
   const data::FeatureSchema schema = Generator().Schema();
+  data::StreamingDataset dataset;
+  data::ShardColumns columns;
+  std::string error;
+  if (!data::StreamingDataset::Open(ShardDir(), {}, &dataset, &error) ||
+      !dataset.ReadShard(0, &columns, &error)) {
+    std::fprintf(stderr, "bench_stream: %s\n", error.c_str());
+    std::abort();
+  }
   std::string image;
   for (auto _ : state) {
-    image = data::EncodeShardImage(schema, /*shard_index=*/0, ShardRows());
+    image = data::EncodeShardImage(schema, /*shard_index=*/0, columns);
     benchmark::DoNotOptimize(image.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

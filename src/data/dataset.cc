@@ -24,22 +24,6 @@ DatasetStats Dataset::Stats() const {
   return s;
 }
 
-Dataset Dataset::ClickedSubset() const {
-  std::vector<Example> subset;
-  for (const Example& e : examples_) {
-    if (e.click == 1) subset.push_back(e);
-  }
-  return Dataset(name_ + ".clicked", schema_, std::move(subset));
-}
-
-Dataset Dataset::NonClickedSubset() const {
-  std::vector<Example> subset;
-  for (const Example& e : examples_) {
-    if (e.click == 0) subset.push_back(e);
-  }
-  return Dataset(name_ + ".nonclicked", schema_, std::move(subset));
-}
-
 std::pair<Dataset, Dataset> Dataset::SplitAt(std::int64_t head_count) const {
   if (head_count < 0) head_count = 0;
   if (head_count > size()) head_count = size();
@@ -48,8 +32,6 @@ std::pair<Dataset, Dataset> Dataset::SplitAt(std::int64_t head_count) const {
   return {Dataset(name_ + ".head", schema_, std::move(head)),
           Dataset(name_ + ".tail", schema_, std::move(tail))};
 }
-
-void Dataset::Shuffle(Rng* rng) { rng->Shuffle(&examples_); }
 
 std::int64_t Dataset::DistinctUsers() const {
   std::unordered_set<std::int32_t> seen;

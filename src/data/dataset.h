@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/example.h"
 #include "data/schema.h"
-#include "tensor/random.h"
 
 namespace dcmt {
 namespace data {
@@ -37,25 +37,15 @@ class Dataset {
   const std::string& name() const { return name_; }
   const FeatureSchema& schema() const { return schema_; }
   const std::vector<Example>& examples() const { return examples_; }
-  std::vector<Example>* mutable_examples() { return &examples_; }
   std::int64_t size() const { return static_cast<std::int64_t>(examples_.size()); }
   bool empty() const { return examples_.empty(); }
 
   /// Computes Table-II style statistics in one pass.
   DatasetStats Stats() const;
 
-  /// Returns the click space O (examples with click == 1) as a new dataset.
-  Dataset ClickedSubset() const;
-
-  /// Returns the non-click space N as a new dataset.
-  Dataset NonClickedSubset() const;
-
   /// Splits off the first `head_count` examples into the first return value;
   /// the remainder goes to the second. Order-preserving.
   std::pair<Dataset, Dataset> SplitAt(std::int64_t head_count) const;
-
-  /// Shuffles examples in place with the given rng.
-  void Shuffle(Rng* rng);
 
   /// Number of distinct user_index / item_index values present.
   std::int64_t DistinctUsers() const;

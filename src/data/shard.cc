@@ -1,5 +1,6 @@
 #include "data/shard.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -53,6 +54,21 @@ std::int64_t SumBytes(const std::vector<std::uint8_t>& column) {
 ShardLabelSums SumLabels(const ShardColumns& columns) {
   return {SumBytes(columns.click), SumBytes(columns.conversion),
           SumBytes(columns.oracle_conversion)};
+}
+
+/// Calls `visit(column)` on every column of `*columns`.
+template <typename Visit>
+void ForEachColumn(ShardColumns* columns, const Visit& visit) {
+  for (std::vector<std::int32_t>& ids : columns->deep_ids) visit(ids);
+  for (std::vector<std::int32_t>& ids : columns->wide_ids) visit(ids);
+  visit(columns->click);
+  visit(columns->conversion);
+  visit(columns->oracle_conversion);
+  visit(columns->true_ctr);
+  visit(columns->true_cvr);
+  visit(columns->user_index);
+  visit(columns->item_index);
+  visit(columns->convert_lag_days);
 }
 
 bool ReadColumn(core::PayloadReader* in, std::vector<std::uint8_t>* column) {
@@ -212,10 +228,8 @@ ShardColumns ShardColumns::FromRows(const FeatureSchema& schema,
   return c;
 }
 
-namespace {
-
-std::string EncodeColumns(const FeatureSchema& schema, int shard_index,
-                          const ShardColumns& columns) {
+std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
+                             const ShardColumns& columns) {
   const std::uint64_t fingerprint = FingerprintSchema(schema);
   const std::int64_t n = columns.size();
 
@@ -255,14 +269,6 @@ std::string EncodeColumns(const FeatureSchema& schema, int shard_index,
   core::AppendRecord(&image, kShardFooter, footer.data());
   core::AppendRecord(&image, kShardEnd, {});
   return image;
-}
-
-}  // namespace
-
-std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
-                             const std::vector<Example>& rows) {
-  return EncodeColumns(schema, shard_index,
-                       ShardColumns::FromRows(schema, rows));
 }
 
 bool ReadShardFile(core::FileSystem* fs, const std::string& path,
@@ -514,36 +520,81 @@ ShardWriter::ShardWriter(std::string dir, FeatureSchema schema,
   if (config_.rows_per_shard <= 0) config_.rows_per_shard = 1;
   manifest_.schema = std::move(schema);
   manifest_.schema_fingerprint = FingerprintSchema(manifest_.schema);
-  pending_.reserve(static_cast<std::size_t>(config_.rows_per_shard));
+  pending_.deep_ids.resize(manifest_.schema.deep_fields.size());
+  pending_.wide_ids.resize(manifest_.schema.wide_fields.size());
+  ForEachColumn(&pending_, [&](auto& column) {
+    column.reserve(static_cast<std::size_t>(config_.rows_per_shard));
+  });
 }
 
 void ShardWriter::Append(const Example& example) {
   if (!ok_ || finished_) return;
-  pending_.push_back(example);
-  if (static_cast<std::int64_t>(pending_.size()) >= config_.rows_per_shard) {
-    FlushShard();
+  for (std::size_t f = 0; f < pending_.deep_ids.size(); ++f) {
+    pending_.deep_ids[f].push_back(example.deep_ids[f]);
+  }
+  for (std::size_t f = 0; f < pending_.wide_ids.size(); ++f) {
+    pending_.wide_ids[f].push_back(example.wide_ids[f]);
+  }
+  pending_.click.push_back(example.click);
+  pending_.conversion.push_back(example.conversion);
+  pending_.oracle_conversion.push_back(example.oracle_conversion);
+  pending_.true_ctr.push_back(example.true_ctr);
+  pending_.true_cvr.push_back(example.true_cvr);
+  pending_.user_index.push_back(example.user_index);
+  pending_.item_index.push_back(example.item_index);
+  pending_.convert_lag_days.push_back(example.convert_lag_days);
+  if (pending_.size() >= config_.rows_per_shard) FlushShard();
+}
+
+void ShardWriter::Append(const ShardColumns& rows) {
+  // Rows [begin, end) of `from` onto the end of `to`.
+  const auto append = [](const auto& from, std::int64_t begin,
+                         std::int64_t end, auto* to) {
+    to->insert(to->end(), from.begin() + begin, from.begin() + end);
+  };
+  std::int64_t begin = 0;
+  while (ok_ && !finished_ && begin < rows.size()) {
+    const std::int64_t end = std::min(
+        rows.size(), begin + config_.rows_per_shard - pending_.size());
+    for (std::size_t f = 0; f < pending_.deep_ids.size(); ++f) {
+      append(rows.deep_ids[f], begin, end, &pending_.deep_ids[f]);
+    }
+    for (std::size_t f = 0; f < pending_.wide_ids.size(); ++f) {
+      append(rows.wide_ids[f], begin, end, &pending_.wide_ids[f]);
+    }
+    append(rows.click, begin, end, &pending_.click);
+    append(rows.conversion, begin, end, &pending_.conversion);
+    append(rows.oracle_conversion, begin, end, &pending_.oracle_conversion);
+    append(rows.true_ctr, begin, end, &pending_.true_ctr);
+    append(rows.true_cvr, begin, end, &pending_.true_cvr);
+    append(rows.user_index, begin, end, &pending_.user_index);
+    append(rows.item_index, begin, end, &pending_.item_index);
+    append(rows.convert_lag_days, begin, end, &pending_.convert_lag_days);
+    if (pending_.size() >= config_.rows_per_shard) FlushShard();
+    begin = end;
   }
 }
 
 void ShardWriter::FlushShard() {
   const int shard_index = static_cast<int>(manifest_.shards.size());
   const std::string file = ShardFileName(shard_index);
-  const ShardColumns columns = ShardColumns::FromRows(manifest_.schema, pending_);
-  const std::string image = EncodeColumns(manifest_.schema, shard_index, columns);
+  const std::string image =
+      EncodeShardImage(manifest_.schema, shard_index, pending_);
   if (!core::AtomicWriteFile(fs_, JoinPath(dir_, file), image)) {
     ok_ = false;
     error_ = JoinPath(dir_, file) + ": atomic write failed";
     return;
   }
-  const ShardLabelSums sums = SumLabels(columns);
+  const ShardLabelSums sums = SumLabels(pending_);
   ShardInfo info;
   info.file = file;
-  info.rows = static_cast<std::int64_t>(pending_.size());
+  info.rows = pending_.size();
   info.clicks = sums.clicks;
   info.conversions = sums.conversions;
   info.oracle_conversions = sums.oracle_conversions;
   manifest_.shards.push_back(std::move(info));
-  pending_.clear();
+  // Emptied, not freed: the next shard refills the same buffers.
+  ForEachColumn(&pending_, [](auto& column) { column.clear(); });
 }
 
 bool ShardWriter::Finish() {
@@ -552,7 +603,7 @@ bool ShardWriter::Finish() {
   if (!ok_) return false;
   // The final shard may be ragged (short); an entirely empty dataset still
   // gets a manifest with zero shards.
-  if (!pending_.empty()) FlushShard();
+  if (pending_.size() > 0) FlushShard();
   if (!ok_) return false;
   std::string err;
   if (!WriteManifest(fs_, dir_, manifest_, &err)) {

@@ -94,47 +94,6 @@ struct ShardManifest {
 std::string ShardFileName(int shard_index);
 inline constexpr char kManifestFileName[] = "manifest.shm";
 
-struct ShardWriterConfig {
-  /// Rows buffered per shard before it is flushed to disk. At the default a
-  /// shard's decoded columns take ~15 MB (59 bytes a row with 9 id fields).
-  std::int64_t rows_per_shard = 1 << 18;
-  /// nullptr = real file system; tests pass a FaultInjectingFileSystem.
-  core::FileSystem* fs = nullptr;
-};
-
-/// Streams examples into `dir` as numbered shard files plus a manifest.
-/// Append buffers rows and flushes a full shard as soon as rows_per_shard is
-/// reached, so peak memory is one shard regardless of dataset size. Finish()
-/// flushes the final (possibly short) shard and writes the manifest last —
-/// a directory without a valid manifest is never a readable dataset, which
-/// makes interrupted generation runs fail closed. After any I/O error the
-/// writer latches !ok() and further Appends are dropped.
-class ShardWriter {
- public:
-  ShardWriter(std::string dir, FeatureSchema schema, ShardWriterConfig config = {});
-
-  void Append(const Example& example);
-  /// Flushes pending rows and writes the manifest. Returns ok().
-  bool Finish();
-
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-  /// Valid after a successful Finish().
-  const ShardManifest& manifest() const { return manifest_; }
-
- private:
-  void FlushShard();
-
-  std::string dir_;
-  ShardWriterConfig config_;
-  core::FileSystem* fs_;
-  ShardManifest manifest_;
-  std::vector<Example> pending_;
-  bool finished_ = false;
-  bool ok_ = true;
-  std::string error_;
-};
-
 /// Rows held as columns, the layout a shard file stores and a Batch
 /// consumes: one contiguous column per field and per label. A decoded shard
 /// stays in this form; batches gather from it by row index, and callers that
@@ -159,10 +118,56 @@ struct ShardColumns {
                                const std::vector<Example>& rows);
 };
 
+struct ShardWriterConfig {
+  /// Rows buffered per shard before it is flushed to disk. At the default a
+  /// shard's decoded columns take ~15 MB (59 bytes a row with 9 id fields).
+  std::int64_t rows_per_shard = 1 << 18;
+  /// nullptr = real file system.
+  core::FileSystem* fs = nullptr;
+};
+
+/// Streams rows into `dir` as numbered shard files plus a manifest.
+/// Append buffers rows as columns and flushes a full shard as soon as
+/// rows_per_shard is reached, so peak memory is one shard regardless of
+/// dataset size. Finish()
+/// flushes the final (possibly short) shard and writes the manifest last —
+/// a directory without a valid manifest is never a readable dataset, which
+/// makes interrupted generation runs fail closed. After any I/O error the
+/// writer latches !ok() and further Appends are dropped.
+class ShardWriter {
+ public:
+  ShardWriter(std::string dir, FeatureSchema schema, ShardWriterConfig config = {});
+
+  void Append(const Example& example);
+  /// Appends every row of `rows`, which hold this writer's schema's fields,
+  /// in order.
+  void Append(const ShardColumns& rows);
+  /// Flushes pending rows and writes the manifest. Returns ok().
+  bool Finish();
+
+  bool ok() const { return ok_; }
+  const std::string& error() const { return error_; }
+  /// Valid after a successful Finish().
+  const ShardManifest& manifest() const { return manifest_; }
+
+ private:
+  void FlushShard();
+
+  std::string dir_;
+  ShardWriterConfig config_;
+  core::FileSystem* fs_;
+  ShardManifest manifest_;
+  ShardColumns pending_;
+  bool finished_ = false;
+  bool ok_ = true;
+  std::string error_;
+};
+
 /// Encodes one shard's rows as a complete shard-file image (used by the
-/// writer; exposed for tests and benchmarks).
+/// writer; exposed for tests and benchmarks). `columns` hold `schema`'s
+/// fields.
 std::string EncodeShardImage(const FeatureSchema& schema, int shard_index,
-                             const std::vector<Example>& rows);
+                             const ShardColumns& columns);
 
 /// Decodes and fully validates one shard file against its manifest entry:
 /// container framing + CRCs, header/footer fingerprints and counts, column

@@ -185,7 +185,7 @@ void StreamingBatcher::StartGather() {
   Gather gather(dataset_, batch_size_, &order_, cursor_);
   if (prefetch_depth_ <= 0) {
     // Synchronous mode: zero concurrency (required when the file system is
-    // a FaultInjectingFileSystem, whose open counter is not thread-safe).
+    // not safe for concurrent reads).
     sync_gather_ = std::make_unique<Gather>(std::move(gather));
     return;
   }

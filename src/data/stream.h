@@ -33,10 +33,9 @@ namespace dcmt {
 namespace data {
 
 struct StreamingConfig {
-  /// nullptr = real file system; tests pass a FaultInjectingFileSystem.
-  /// Must be safe for concurrent reads if prefetch is enabled (the default
-  /// PosixFileSystem is; FaultInjectingFileSystem is NOT — use it with
-  /// prefetch_depth = 0).
+  /// nullptr = real file system. Must be safe for concurrent reads if
+  /// prefetch is enabled (the default PosixFileSystem is); a file system
+  /// that is not needs prefetch_depth = 0.
   core::FileSystem* fs = nullptr;
 };
 

@@ -162,7 +162,6 @@ std::uint64_t FingerprintTrainSetup(const nn::Module& module,
   w.U64(config.seed);
   w.F64(config.validation_fraction);
   w.I32(config.early_stopping_patience);
-  w.F32(config.lr_decay);
   w.I64(dataset_size);
   w.U32(static_cast<std::uint32_t>(module.parameters().size()));
   for (const Tensor& p : module.parameters()) {

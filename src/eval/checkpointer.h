@@ -78,7 +78,7 @@ std::uint64_t FingerprintModelVariant(const nn::Module& module,
 class Checkpointer {
  public:
   /// Creates `dir` if needed. `fs` is the I/O seam (null = real file
-  /// system); tests pass a core::FaultInjectingFileSystem.
+  /// system).
   explicit Checkpointer(std::string dir, core::FileSystem* fs = nullptr);
 
   /// Atomically persists the module parameters plus `state`. Returns false

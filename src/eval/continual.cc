@@ -161,22 +161,18 @@ ContinualResult ContinualLoop::Run() {
                        src.c_str(), error.c_str());
           std::abort();
         }
-        for (std::int64_t r = 0; r < columns.size(); ++r) {
-          data::Example row = columns.Row(r);
-          if (log_day >= 0) {
-            const bool eventual = row.conversion != 0;
-            const bool matured =
-                eventual && log_day + row.convert_lag_days <= matured_through;
+        if (log_day >= 0) {
+          for (std::size_t r = 0; r < columns.conversion.size(); ++r) {
+            const bool eventual = columns.conversion[r] != 0;
+            const int arrival = log_day + columns.convert_lag_days[r];
+            const bool matured = eventual && arrival <= matured_through;
             if (eventual && !matured) ++stats->fake_negatives;
-            if (matured &&
-                log_day + row.convert_lag_days > prev_matured_through) {
-              ++stats->relabeled;
-            }
-            row.conversion = matured ? 1 : 0;
+            if (matured && arrival > prev_matured_through) ++stats->relabeled;
+            columns.conversion[r] = matured ? 1 : 0;
           }
-          writer.Append(row);
-          ++stats->rows;
         }
+        writer.Append(columns);
+        stats->rows += columns.size();
       }
     };
     append_dir(pretrain_dir, /*log_day=*/-1);

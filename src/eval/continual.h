@@ -88,8 +88,8 @@ struct ContinualConfig {
   /// the uninterrupted run byte-for-byte. 0 = no budget.
   std::int64_t halt_after_total_steps = 0;
 
-  /// nullptr = real file system. A FaultInjectingFileSystem requires
-  /// prefetch_depth = 0 (it is not thread-safe).
+  /// nullptr = real file system. One that is not thread-safe requires
+  /// prefetch_depth = 0.
   core::FileSystem* fs = nullptr;
 };
 

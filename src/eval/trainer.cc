@@ -11,7 +11,6 @@
 #include "data/batcher.h"
 #include "eval/checkpointer.h"
 #include "eval/evaluator.h"
-#include "nn/graph_check.h"
 #include "optim/adam.h"
 
 namespace dcmt {
@@ -130,8 +129,8 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
                    warm_error.c_str());
       std::abort();
     }
-    // The imported Adam state carries the donor run's (possibly decayed)
-    // learning rate; this run's schedule starts from its own configured lr.
+    // The imported Adam state carries the donor run's learning rate; this
+    // run trains at its own configured lr.
     adam.set_lr(config.learning_rate);
     if (config.verbose) {
       std::fprintf(stderr, "[train %s] warm-started from %s\n",
@@ -190,21 +189,6 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
       adam.ZeroGrad();
       models::Predictions preds = model->Forward(batch);
       Tensor loss = model->Loss(batch, preds);
-#ifndef NDEBUG
-      // Debug builds statically validate the very first tape of the run —
-      // shape rules, backward registration, parameter reachability, stale
-      // reuse — before any gradient is spent on a malformed graph. One batch
-      // suffices: the graph's structure is batch-independent.
-      if (history.steps == 0) {
-        const nn::GraphCheckResult check =
-            nn::CheckGraph(loss, model->parameters());
-        if (!check.ok()) {
-          std::fprintf(stderr, "[train %s] autograd tape is malformed:\n%s",
-                       model->name().c_str(), check.Report().c_str());
-          std::abort();
-        }
-      }
-#endif
       const double step_loss = static_cast<double>(loss.item());
       if (!std::isfinite(step_loss)) {
         // Backward and Adam would carry the non-finite value into every
@@ -258,12 +242,6 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
     history.epoch_loss.push_back(epoch_loss);
     history.final_epoch = epoch;
     obs_epochs.Inc();
-
-    // 1.0f is the exact "decay disabled" sentinel, not a computed quantity.
-    // dcmt-lint: allow(float-eq) — exact sentinel comparison.
-    if (config.lr_decay != 1.0f) {
-      adam.set_lr(adam.lr() * config.lr_decay);
-    }
 
     bool stop_early = false;
     if (has_validation) {

@@ -40,8 +40,6 @@ struct TrainConfig {
   /// improvement and restore the best-epoch parameters. 0 disables early
   /// stopping (validation is still tracked in the history).
   int early_stopping_patience = 0;
-  /// Per-epoch multiplicative learning-rate decay (1 = constant).
-  float lr_decay = 1.0f;
 
   // --- Crash-safe checkpointing (DESIGN.md §10) ---------------------------
   /// Directory for full training-state checkpoints ("" = disabled). The
@@ -71,8 +69,7 @@ struct TrainConfig {
   /// same-setup resume from `checkpoint_dir` already restored mid-run state
   /// (resume is strictly more specific).
   std::string warm_start_dir;
-  /// File-system seam for checkpoint I/O (null = the real file system);
-  /// tests inject a core::FaultInjectingFileSystem here.
+  /// File-system seam for checkpoint I/O (null = the real file system).
   core::FileSystem* fs = nullptr;
 
   /// Record every optimizer step's loss in TrainHistory::step_loss. Drives

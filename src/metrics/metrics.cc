@@ -68,33 +68,6 @@ double MeanValue(const std::vector<float>& values) {
   return acc / static_cast<double>(values.size());
 }
 
-double CalibrationError(const std::vector<float>& predictions,
-                        const std::vector<std::uint8_t>& labels, int bins) {
-  if (predictions.size() != labels.size() || predictions.empty() || bins <= 0) {
-    std::fprintf(stderr, "CalibrationError: bad arguments\n");
-    std::abort();
-  }
-  std::vector<double> pred_sum(static_cast<std::size_t>(bins), 0.0);
-  std::vector<double> label_sum(static_cast<std::size_t>(bins), 0.0);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(bins), 0);
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    int b = static_cast<int>(predictions[i] * static_cast<float>(bins));
-    b = std::clamp(b, 0, bins - 1);
-    pred_sum[static_cast<std::size_t>(b)] += predictions[i];
-    label_sum[static_cast<std::size_t>(b)] += labels[i];
-    ++counts[static_cast<std::size_t>(b)];
-  }
-  double err = 0.0;
-  for (int b = 0; b < bins; ++b) {
-    const auto c = counts[static_cast<std::size_t>(b)];
-    if (c == 0) continue;
-    const double gap = std::fabs(pred_sum[static_cast<std::size_t>(b)] / c -
-                                 label_sum[static_cast<std::size_t>(b)] / c);
-    err += gap * static_cast<double>(c) / static_cast<double>(predictions.size());
-  }
-  return err;
-}
-
 double GroupAuc(const std::vector<float>& scores,
                 const std::vector<std::uint8_t>& labels,
                 const std::vector<std::int32_t>& group_ids) {

@@ -21,11 +21,6 @@ double LogLoss(const std::vector<float>& predictions,
 /// Mean of a prediction vector.
 double MeanValue(const std::vector<float>& values);
 
-/// Expected calibration error over `bins` equal-width probability bins:
-/// weighted average |mean prediction − empirical rate| per bin.
-double CalibrationError(const std::vector<float>& predictions,
-                        const std::vector<std::uint8_t>& labels, int bins = 10);
-
 /// Group AUC (GAUC): impression-weighted mean of per-group AUC, the
 /// intra-user ranking metric industrial CTR/CVR systems report. Groups with
 /// a single class are skipped (their AUC is undefined). Returns 0.5 if no

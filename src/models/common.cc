@@ -67,6 +67,13 @@ Tensor MixExperts(const std::vector<Tensor>& expert_outputs,
   return mixed;
 }
 
+std::vector<int> ExpertTowerDims(const ModelConfig& config) {
+  const int expert_width = config.hidden_dims.front();
+  std::vector<int> dims(config.hidden_dims.begin() + 1, config.hidden_dims.end());
+  if (dims.empty()) dims = {expert_width / 2 > 0 ? expert_width / 2 : 1};
+  return dims;
+}
+
 namespace {
 
 // Normalized clicked-only mask 1{o_i}/|O|, or an undefined Tensor when the

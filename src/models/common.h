@@ -68,6 +68,11 @@ class Tower : public nn::Module {
 Tensor MixExperts(const std::vector<Tensor>& expert_outputs,
                   const nn::Linear& gate, const Tensor& x);
 
+/// Task-tower widths of the expert models (MMoE, PLE), whose experts are one
+/// hidden layer of width hidden_dims[0]: the rest of hidden_dims, or half the
+/// expert width (at least 1) when there is no rest.
+std::vector<int> ExpertTowerDims(const ModelConfig& config);
+
 // --- Loss helpers shared across the zoo -------------------------------------
 //
 // When the matching logit field of Predictions is defined, the per-example

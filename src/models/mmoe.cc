@@ -29,9 +29,7 @@ Mmoe::Mmoe(const data::FeatureSchema& schema, const ModelConfig& config)
                                            config.num_experts, &rng);
   RegisterChild(*cvr_gate_);
 
-  std::vector<int> tower_dims(config.hidden_dims.begin() + 1,
-                              config.hidden_dims.end());
-  if (tower_dims.empty()) tower_dims = {expert_width / 2 > 0 ? expert_width / 2 : 1};
+  const std::vector<int> tower_dims = ExpertTowerDims(config);
   ctr_tower_ = std::make_unique<Tower>("mmoe.ctr", expert_width, tower_dims, &rng);
   RegisterChild(*ctr_tower_);
   cvr_tower_ = std::make_unique<Tower>("mmoe.cvr", expert_width, tower_dims, &rng);

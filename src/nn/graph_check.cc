@@ -32,7 +32,7 @@ bool OpIs(const Impl* n, const char* tag) {
 }
 
 bool IsElementwiseBinary(const Impl* n) {
-  static const char* kTags[] = {"add", "sub", "mul", "div", "bce_loss",
+  static const char* kTags[] = {"add", "sub", "mul", "bce_loss",
                                 "sigmoid_bce"};
   for (const char* t : kTags) {
     if (OpIs(n, t)) return true;
@@ -40,10 +40,10 @@ bool IsElementwiseBinary(const Impl* n) {
   return false;
 }
 
-/// Fused [1 x 1] reductions (mean, Σ a·w, Σ a²). `sum` keeps its own branch
+/// Fused [1 x 1] reductions (mean, Σ a·w). `sum` keeps its own branch
 /// below for historical reasons; these share its only rule.
 bool IsScalarReduction(const Impl* n) {
-  static const char* kTags[] = {"mean", "weighted_sum", "squared_norm"};
+  static const char* kTags[] = {"mean", "weighted_sum"};
   for (const char* t : kTags) {
     if (OpIs(n, t)) return true;
   }
@@ -51,10 +51,10 @@ bool IsScalarReduction(const Impl* n) {
 }
 
 bool IsElementwiseUnary(const Impl* n) {
-  static const char* kTags[] = {"scale",   "add_scalar", "neg",  "one_minus",
-                                "sigmoid", "relu",       "tanh", "exp",
-                                "log",     "abs",        "softplus", "square",
-                                "softmax_rows"};
+  static const char* kTags[] = {"scale",   "add_scalar", "neg",
+                                "one_minus", "sigmoid",  "relu",
+                                "tanh",    "abs",        "softplus",
+                                "square",  "softmax_rows"};
   for (const char* t : kTags) {
     if (OpIs(n, t)) return true;
   }
@@ -318,8 +318,6 @@ GraphCheckResult CheckGraph(const Tensor& loss,
 
   return result;
 }
-
-GraphCheckResult CheckGraph(const Tensor& loss) { return CheckGraph(loss, {}); }
 
 }  // namespace nn
 }  // namespace dcmt

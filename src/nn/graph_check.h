@@ -52,12 +52,10 @@ struct GraphCheckResult {
 ///      — the classic silently-broken-model bug).
 ///
 /// The walk is read-only and allocation-light: validating a model's step
-/// graph in a debug build costs far less than the step itself.
+/// graph costs far less than the step itself. An empty `params` skips the
+/// reachability rule.
 GraphCheckResult CheckGraph(const Tensor& loss,
                             const std::vector<Tensor>& params);
-
-/// CheckGraph with no parameter-reachability requirement.
-GraphCheckResult CheckGraph(const Tensor& loss);
 
 }  // namespace nn
 }  // namespace dcmt

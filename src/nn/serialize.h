@@ -73,9 +73,9 @@ bool ValidateParametersPayload(std::string_view payload, const Module& module);
 bool ApplyParametersPayload(std::string_view payload, Module* module);
 
 /// Writes all parameters of `module` to a v2 checkpoint at `path`, atomically
-/// (tmp + fsync + rename). `fs` defaults to the real file system; tests pass
-/// a core::FaultInjectingFileSystem. Returns false on I/O failure, in which
-/// case any previous file at `path` is preserved intact.
+/// (tmp + fsync + rename). `fs` defaults to the real file system. Returns
+/// false on I/O failure, in which case any previous file at `path` is
+/// preserved intact.
 bool SaveParameters(const Module& module, const std::string& path,
                     core::FileSystem* fs = nullptr);
 

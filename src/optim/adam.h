@@ -9,8 +9,8 @@
 namespace dcmt {
 namespace optim {
 
-/// Complete serializable Adam state. `lr` is included because per-epoch decay
-/// mutates it; restoring the state resumes the exact update sequence.
+/// Complete serializable Adam state; restoring it resumes the exact update
+/// sequence.
 struct AdamState {
   std::int64_t step = 0;
   float lr = 0.0f;
@@ -30,9 +30,7 @@ class Adam : public Optimizer {
 
   void Step() override;
 
-  float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
-  std::int64_t step_count() const { return step_; }
 
   /// Copies out the full optimizer state for checkpointing.
   AdamState ExportState() const;

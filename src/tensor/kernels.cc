@@ -610,25 +610,6 @@ void MapTanhGrad(const float* sp, const float* gp, float* xg, std::int64_t i0,
   DCMT_MAP_GRAD_BODY(g * (Splat(1.0f) - s * s))
 }
 
-void MapExp(const float* xp, float* yp, std::int64_t i0, std::int64_t i1) {
-  DCMT_MAP_BODY(VExp(x))
-}
-
-void MapExpGrad(const float* sp, const float* gp, float* xg, std::int64_t i0,
-                std::int64_t i1) {
-  DCMT_MAP_GRAD_BODY(g * s)
-}
-
-void MapLog(const float* xp, float* yp, float eps, std::int64_t i0,
-            std::int64_t i1) {
-  DCMT_MAP_BODY(VLog(VMax(x, Splat(eps))))
-}
-
-void MapLogGrad(const float* sp, const float* gp, float* xg, float eps,
-                std::int64_t i0, std::int64_t i1) {
-  DCMT_MAP_GRAD_BODY(g / VMax(s, Splat(eps)))
-}
-
 void MapSoftplus(const float* xp, float* yp, std::int64_t i0,
                  std::int64_t i1) {
   DCMT_MAP_BODY(VSoftplus(x))
@@ -810,14 +791,6 @@ double ReduceDot(const float* a, const float* w, std::int64_t i0,
   double acc = 0.0;
   for (std::int64_t i = i0; i < i1; ++i) {
     acc += static_cast<double>(a[i] * w[i]);
-  }
-  return acc;
-}
-
-double ReduceSquares(const float* x, std::int64_t i0, std::int64_t i1) {
-  double acc = 0.0;
-  for (std::int64_t i = i0; i < i1; ++i) {
-    acc += static_cast<double>(x[i] * x[i]);
   }
   return acc;
 }

@@ -131,19 +131,6 @@ void MapTanh(const float* x, float* y, std::int64_t i0, std::int64_t i1);
 void MapTanhGrad(const float* y, const float* g, float* xg, std::int64_t i0,
                  std::int64_t i1);
 
-/// exp clamped to [-87.34, 88.38] (the finite-float range); out-of-range
-/// inputs saturate instead of returning 0/inf like libm.
-void MapExp(const float* x, float* y, std::int64_t i0, std::int64_t i1);
-/// xg += g * y; `y` is the exp output.
-void MapExpGrad(const float* y, const float* g, float* xg, std::int64_t i0,
-                std::int64_t i1);
-
-void MapLog(const float* x, float* y, float eps, std::int64_t i0,
-            std::int64_t i1);
-/// xg += g / max(x, eps).
-void MapLogGrad(const float* x, const float* g, float* xg, float eps,
-                std::int64_t i0, std::int64_t i1);
-
 void MapSoftplus(const float* x, float* y, std::int64_t i0, std::int64_t i1);
 /// xg += g * sigmoid(x).
 void MapSoftplusGrad(const float* x, const float* g, float* xg,
@@ -175,16 +162,14 @@ void SoftmaxRowBackward(const float* y, const float* g, float* arow, int n);
 
 // --- Full reductions (scalar loops, double accumulators) -------------------
 // These are deliberately NOT vectorized: they reproduce, bit for bit, the
-// serial accumulation order of the reference composites (Sum, Sum∘Mul,
-// Sum∘Square) that the fused Mean/WeightedSum/SquaredNorm ops replace.
+// serial accumulation order of the reference composites (Sum, Sum∘Mul)
+// that the fused Mean/WeightedSum ops replace.
 
 /// sum_{i in [i0,i1)} x[i], accumulated in double.
 double ReduceSum(const float* x, std::int64_t i0, std::int64_t i1);
 /// sum (a[i]*w[i]) — float product first (as Mul would round), then widened.
 double ReduceDot(const float* a, const float* w, std::int64_t i0,
                  std::int64_t i1);
-/// sum (x[i]*x[i]) — float square first, then widened.
-double ReduceSquares(const float* x, std::int64_t i0, std::int64_t i1);
 
 // --- Optimizer tail (optim::Optimizer::ClipGradNorm, optim::Adam) ----------
 

@@ -339,13 +339,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       [](float x, float, float) { return x; });
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      "div", a, b, [](float x, float y) { return x / y; },
-      [](float, float y, float) { return 1.0f / y; },
-      [](float x, float y, float) { return -x / (y * y); });
-}
-
 Tensor Scale(const Tensor& a, float s) {
   return UnaryOp(
       "scale", a, [s](float x) { return x * s; },
@@ -383,32 +376,6 @@ Tensor Relu(const Tensor& a) {
 Tensor Tanh(const Tensor& a) {
   return UnaryKernelOp("tanh", a, kernels::MapTanh, kernels::MapTanhGrad,
                        /*grad_from_output=*/true);
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryKernelOp("exp", a, kernels::MapExp, kernels::MapExpGrad,
-                       /*grad_from_output=*/true);
-}
-
-Tensor Log(const Tensor& a, float eps) {
-  const int m = a.rows(), n = a.cols();
-  Tensor out = Tensor::MakeNode(m, n, {a}, a.requires_grad());
-  out.SetOp("log");
-  const float* ad = a.data();
-  float* od = out.data();
-  const std::int64_t total = a.size();
-  kernels::MapLog(ad, od, eps, 0, total);
-  if (out.requires_grad()) {
-    Tensor a_cap = a;
-    Tensor::Impl* self = out.impl();
-    out.SetBackwardFn([a_cap, self, total, eps]() mutable {
-      const float* og = self->EnsureGrad();
-      const float* a_d = a_cap.data();
-      float* ag = a_cap.impl()->EnsureGrad();
-      kernels::MapLogGrad(a_d, og, ag, eps, 0, total);
-    });
-  }
-  return out;
 }
 
 Tensor Abs(const Tensor& a) {
@@ -853,28 +820,6 @@ Tensor WeightedSum(const Tensor& a, const Tensor& weights) {
         if (ag != nullptr) ag[i] += g * w_d[i];
         if (wg != nullptr) wg[i] += g * a_d[i];
       }
-    });
-  }
-  return out;
-}
-
-Tensor SquaredNorm(const Tensor& a) {
-  // Fused Sum(Square(a)): float squares widened into Sum's double
-  // accumulation — bit-identical to the composite (ops::reference::SquaredNorm)
-  // without allocating the squared tensor on the L2-regularization path.
-  Tensor out = Tensor::MakeNode(1, 1, {a}, a.requires_grad());
-  out.SetOp("squared_norm");
-  const float* ad = a.data();
-  const std::int64_t total = a.size();
-  out.data()[0] = static_cast<float>(kernels::ReduceSquares(ad, 0, total));
-  if (out.requires_grad()) {
-    Tensor a_cap = a;
-    Tensor::Impl* self = out.impl();
-    out.SetBackwardFn([a_cap, self, total]() mutable {
-      const float g = self->EnsureGrad()[0];
-      const float* a_d = a_cap.data();
-      float* ag = a_cap.impl()->EnsureGrad();
-      for (std::int64_t i = 0; i < total; ++i) ag[i] += g * (2.0f * a_d[i]);
     });
   }
   return out;

@@ -36,10 +36,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 /// Elementwise a * b (broadcasting b).
 Tensor Mul(const Tensor& a, const Tensor& b);
 
-/// Elementwise a / b (broadcasting b). Caller guarantees b is bounded away
-/// from zero; there is no internal epsilon.
-Tensor Div(const Tensor& a, const Tensor& b);
-
 /// a * s for a compile-time-constant scalar (no graph node for s).
 Tensor Scale(const Tensor& a, float s);
 
@@ -60,13 +56,6 @@ Tensor Relu(const Tensor& a);
 
 /// Hyperbolic tangent.
 Tensor Tanh(const Tensor& a);
-
-/// Natural exponential. Saturates at the finite-float range (inputs outside
-/// [-87.34, 88.38] clamp instead of producing 0/inf — see DESIGN.md §14).
-Tensor Exp(const Tensor& a);
-
-/// Natural log of max(a, eps); gradient is 1/max(a, eps).
-Tensor Log(const Tensor& a, float eps = 1e-12f);
 
 /// Elementwise absolute value; subgradient 0 at exactly 0.
 Tensor Abs(const Tensor& a);
@@ -142,11 +131,6 @@ Tensor EmbeddingConcat(const std::vector<Tensor>& tables,
 /// single node (no Mul intermediate); bit-identical to Sum(Mul(a, w)).
 /// The workhorse for IPW / SNIPS-weighted losses where weights are detached.
 Tensor WeightedSum(const Tensor& a, const Tensor& weights);
-
-/// Sum of squares of all elements -> [1 x 1]. Fused single node (no Square
-/// intermediate); bit-identical to Sum(Square(a)). Used for L2
-/// regularization.
-Tensor SquaredNorm(const Tensor& a);
 
 }  // namespace ops
 }  // namespace dcmt

@@ -29,6 +29,7 @@
 #include "eval/checkpointer.h"
 #include "eval/trainer.h"
 #include "optim/adam.h"
+#include "support/fault_fs.h"
 #include "tensor/random.h"
 
 namespace dcmt {
@@ -455,7 +456,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
                                       &*victim_batcher_, &*victim_rng_,
                                       &restored))
         << label;
-    ASSERT_EQ(victim_adam_->step_count(), adam_before_.step) << label;
+    ASSERT_EQ(victim_adam_->ExportState().step, adam_before_.step) << label;
     ASSERT_EQ(victim_rng_->state().s[0], rng_before_.s[0]) << label;
     ASSERT_EQ(victim_batcher_->SaveState().cursor, batcher_before_.cursor)
         << label;
@@ -522,7 +523,7 @@ TEST_F(CheckpointCorruptionTest, PristineCheckpointRestores) {
   EXPECT_DOUBLE_EQ(restored.loss_sum, 1.5);
   EXPECT_EQ(restored.epoch_loss, std::vector<double>({0.51}));
   EXPECT_EQ(restored.best_epoch, 0);
-  EXPECT_EQ(victim_adam_->step_count(), 1);
+  EXPECT_EQ(victim_adam_->ExportState().step, 1);
 }
 
 TEST_F(CheckpointCorruptionTest, WrongFingerprintRejected) {

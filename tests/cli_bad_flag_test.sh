@@ -9,7 +9,8 @@
 # anyway (a finite but huge --lr) stops at its first non-finite step loss,
 # naming the epoch and step, exits 1 and writes no --ckpt either. A
 # router-bench --requests count that --clients does not divide is sent
-# exactly, not rounded.
+# exactly, not rounded, and a --requests count below --clients starts one
+# client per request.
 #
 # Usage: tests/cli_bad_flag_test.sh path/to/dcmt_cli
 set -u
@@ -127,5 +128,17 @@ elif ! grep -q "requests=7$" "$DIR/out.txt"; then
   cat "$DIR/out.txt"; status=1
 else
   echo "ok   router-bench --requests=7 --clients=3 sends 7"
+fi
+
+# A client with no request to send is not started.
+if ! "$CLI" router-bench --threads=1 --requests=2 --clients=4 --swap=0 \
+     --overload=0 > "$DIR/out.txt" 2>&1; then
+  echo "FAIL router-bench --requests=2 --clients=4 failed"; cat "$DIR/out.txt"
+  status=1
+elif ! grep -q "clients=2 requests=2$" "$DIR/out.txt"; then
+  echo "FAIL router-bench --requests=2 --clients=4: not 2 clients"
+  cat "$DIR/out.txt"; status=1
+else
+  echo "ok   router-bench --requests=2 --clients=4 starts 2 clients"
 fi
 exit $status

@@ -57,16 +57,6 @@ TEST(DatasetTest, ConversionImpliesClick) {
   }
 }
 
-TEST(DatasetTest, ClickedSubsetFilters) {
-  data::SyntheticLogGenerator gen(SmallProfile());
-  const data::Dataset train = gen.GenerateTrain();
-  const data::Dataset clicked = train.ClickedSubset();
-  const data::Dataset nonclicked = train.NonClickedSubset();
-  EXPECT_EQ(clicked.size() + nonclicked.size(), train.size());
-  for (const data::Example& e : clicked.examples()) EXPECT_EQ(e.click, 1);
-  for (const data::Example& e : nonclicked.examples()) EXPECT_EQ(e.click, 0);
-}
-
 TEST(DatasetTest, SplitAtPreservesOrderAndTotal) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();

@@ -134,17 +134,6 @@ TEST(TrainerTest, EarlyStoppingRestoresBestEpoch) {
   EXPECT_EQ(history.final_epoch, best_epoch);
 }
 
-TEST(TrainerTest, LrDecayStillConverges) {
-  data::SyntheticLogGenerator gen(TinyProfile());
-  const data::Dataset train = gen.GenerateTrain();
-  core::Dcmt model(train.schema(), TinyConfig());
-  eval::TrainConfig config = FastTrain();
-  config.epochs = 4;
-  config.lr_decay = 0.5f;
-  const eval::TrainHistory history = eval::Train(&model, train, config);
-  EXPECT_LT(history.epoch_loss.back(), history.epoch_loss.front());
-}
-
 TEST(TrainerTest, NonFiniteLossStopsBeforeTheUpdate) {
   data::SyntheticLogGenerator gen(TinyProfile());
   const data::Dataset train = gen.GenerateTrain();

@@ -11,6 +11,7 @@
 #include "core/registry.h"
 #include "data/batcher.h"
 #include "data/profiles.h"
+#include "models/multi_task_model.h"
 #include "nn/graph_check.h"
 #include "serve/frozen_model.h"
 #include "support/gradcheck.h"
@@ -34,6 +35,17 @@ data::Batch SmallBatch() {
   return data::MakeContiguousBatch(dataset, 0, 32);
 }
 
+/// A training-size batch: 1024 rows, which a taped forward splits into
+/// K = 4 micro-batch tapes.
+data::Batch SplitBatch() {
+  data::DatasetProfile profile = data::ProfileByName("ae-es");
+  profile.train_exposures = 1024;
+  profile.test_exposures = 1;
+  data::SyntheticLogGenerator generator(profile);
+  static const data::Dataset dataset = generator.GenerateTrain();
+  return data::MakeContiguousBatch(dataset, 0, 1024);
+}
+
 data::FeatureSchema SmallSchema() {
   data::DatasetProfile profile = data::ProfileByName("ae-es");
   profile.train_exposures = 64;
@@ -47,16 +59,29 @@ data::FeatureSchema SmallSchema() {
 class ModelTapeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ModelTapeTest, TapeValidates) {
-  const data::Batch batch = SmallBatch();
   models::ModelConfig config;
   config.embedding_dim = 8;
   config.seed = 7;
   auto model = core::CreateModel(GetParam(), SmallSchema(), config);
-  const models::Predictions preds = model->Forward(batch);
-  const Tensor loss = model->Loss(batch, preds);
-  const nn::GraphCheckResult result = nn::CheckGraph(loss, model->parameters());
-  EXPECT_TRUE(result.ok()) << result.Report();
-  EXPECT_GT(result.nodes_visited, 0);
+  // A 32-row tape, and the 1024-row tape a training step builds: four
+  // micro-batch tapes behind one join, which the checker walks too.
+  for (const data::Batch& batch : {SmallBatch(), SplitBatch()}) {
+    SCOPED_TRACE(std::to_string(batch.size) + " rows");
+    const models::Predictions preds = model->Forward(batch);
+    const Tensor loss = model->Loss(batch, preds);
+    const nn::GraphCheckResult result =
+        nn::CheckGraph(loss, model->parameters());
+    EXPECT_TRUE(result.ok()) << result.Report();
+    EXPECT_GT(result.nodes_visited, 0);
+    if (batch.size == 1024) {
+      ASSERT_EQ(models::MicroBatchCount(batch.size), 4);
+      ASSERT_EQ(preds.ctr.impl()->parents.size(), 1u);
+      const Tensor::Impl* join = preds.ctr.impl()->parents.front().impl();
+      ASSERT_NE(join->op, nullptr);
+      EXPECT_STREQ(join->op, "micro_batch_join");
+      EXPECT_FALSE(join->micro_roots.empty());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelTapeTest,
@@ -137,17 +162,17 @@ TEST(GraphCheckTest, SimpleOpsGraphValidates) {
 
 TEST(GraphCheckTest, RejectsNonScalarLoss) {
   Tensor loss = Tensor::Zeros(2, 1, /*requires_grad=*/true);
-  EXPECT_TRUE(HasKind(nn::CheckGraph(loss), "loss-not-scalar"));
+  EXPECT_TRUE(HasKind(nn::CheckGraph(loss, {}), "loss-not-scalar"));
 }
 
 TEST(GraphCheckTest, RejectsLossWithoutGrad) {
   Tensor loss = Tensor::Scalar(0.5f, /*requires_grad=*/false);
-  EXPECT_TRUE(HasKind(nn::CheckGraph(loss), "loss-no-grad"));
+  EXPECT_TRUE(HasKind(nn::CheckGraph(loss, {}), "loss-no-grad"));
 }
 
 TEST(GraphCheckTest, RejectsUndefinedLoss) {
   Tensor loss;
-  const nn::GraphCheckResult result = nn::CheckGraph(loss);
+  const nn::GraphCheckResult result = nn::CheckGraph(loss, {});
   EXPECT_FALSE(result.ok());
 }
 
@@ -173,7 +198,7 @@ TEST(GraphCheckTest, RejectsMatMulShapeMismatch) {
   bad.SetOp("matmul");
   bad.SetBackwardFn([] {});
   Tensor loss = ops::Sum(bad);
-  const nn::GraphCheckResult result = nn::CheckGraph(loss);
+  const nn::GraphCheckResult result = nn::CheckGraph(loss, {});
   EXPECT_TRUE(HasKind(result, "shape-mismatch")) << result.Report();
 }
 
@@ -187,7 +212,7 @@ TEST(GraphCheckTest, RejectsDenseShapeMismatch) {
   bad.SetOp("dense");
   bad.SetBackwardFn([] {});
   Tensor loss = ops::Sum(bad);
-  const nn::GraphCheckResult result = nn::CheckGraph(loss);
+  const nn::GraphCheckResult result = nn::CheckGraph(loss, {});
   EXPECT_TRUE(HasKind(result, "shape-mismatch")) << result.Report();
   EXPECT_NE(result.Report().find("bias"), std::string::npos) << result.Report();
   // The real op builds a node the checker accepts.
@@ -205,7 +230,7 @@ TEST(GraphCheckTest, RejectsElementwiseShapeMismatch) {
   bad.SetOp("add");
   bad.SetBackwardFn([] {});
   Tensor loss = ops::Sum(bad);
-  EXPECT_TRUE(HasKind(nn::CheckGraph(loss), "shape-mismatch"));
+  EXPECT_TRUE(HasKind(nn::CheckGraph(loss, {}), "shape-mismatch"));
 }
 
 TEST(GraphCheckTest, RejectsMissingBackwardRegistration) {
@@ -232,7 +257,7 @@ TEST(GraphCheckTest, RejectsReusedTape) {
 
 TEST(GraphCheckTest, ReportListsEveryIssueOnItsOwnLine) {
   Tensor loss = Tensor::Zeros(2, 2, /*requires_grad=*/false);
-  const nn::GraphCheckResult result = nn::CheckGraph(loss);
+  const nn::GraphCheckResult result = nn::CheckGraph(loss, {});
   ASSERT_GE(result.issues.size(), 2u);  // not-scalar and no-grad
   const std::string report = result.Report();
   EXPECT_NE(report.find("loss-not-scalar"), std::string::npos);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/io.h"
+#include "support/fault_fs.h"
 
 namespace dcmt {
 namespace core {

@@ -1,5 +1,5 @@
 // Kernel-layer correctness: the fused ops (Dense, SigmoidBce,
-// EmbeddingConcat, Mean, WeightedSum, SquaredNorm) against their unfused
+// EmbeddingConcat, Mean, WeightedSum) against their unfused
 // composites (ops::reference, or public ops for Dense), the vectorized
 // elementwise family against
 // libm, and the SIMD GEMM (forward and both backward products) against a
@@ -123,15 +123,6 @@ TEST_F(KernelTest, FusedReductionsBitIdenticalToComposites) {
         ExpectGradBitIdentical(a1, a2);
         ExpectGradBitIdentical(w1, w2);
       }
-      {
-        Tensor a1 = leaf(av), a2 = leaf(av);
-        Tensor fused = ops::SquaredNorm(a1);
-        Tensor composite = ops::reference::SquaredNorm(a2);
-        ExpectBitIdentical(fused, composite);
-        fused.Backward();
-        composite.Backward();
-        ExpectGradBitIdentical(a1, a2);
-      }
     }
   }
 }
@@ -239,22 +230,28 @@ TEST_F(KernelTest, VectorizedTranscendentalsMatchLibm) {
   Rng rng(15);
   for (const Shape& s : kShapes) {
     const Tensor x = Tensor::Uniform(s.rows, s.cols, -6.0f, 6.0f, &rng);
-    const Tensor pos = Tensor::Uniform(s.rows, s.cols, 0.01f, 10.0f, &rng);
+    const Tensor prob = Tensor::Uniform(s.rows, s.cols, 0.01f, 0.99f, &rng);
+    const Tensor y = Tensor::Uniform(s.rows, s.cols, 0.0f, 1.0f, &rng);
+    const Tensor ones = Tensor::Full(s.rows, s.cols, 1.0f);
     const Tensor sig = ops::Sigmoid(x);
     const Tensor tanh_t = ops::Tanh(x);
-    const Tensor exp_t = ops::Exp(x);
-    const Tensor log_t = ops::Log(pos);
     const Tensor sp = ops::Softplus(x);
+    // With a target of 1, BCE is -log(p): the vector log alone.
+    const Tensor neg_log = ops::BceLoss(prob, ones);
+    const Tensor sbce = ops::SigmoidBce(x, y);
     for (std::int64_t i = 0; i < x.size(); ++i) {
       const double xd = x.data()[i];
-      const double pd = pos.data()[i];
+      const double pd = prob.data()[i];
+      const double yd = y.data()[i];
       EXPECT_NEAR(sig.data()[i], 1.0 / (1.0 + std::exp(-xd)), 2e-7);
       EXPECT_NEAR(tanh_t.data()[i], std::tanh(xd), 2e-7);
-      EXPECT_NEAR(exp_t.data()[i], std::exp(xd),
-                  2e-6 * std::max(1.0, std::exp(xd)));
-      EXPECT_NEAR(log_t.data()[i], std::log(pd), 2e-6);
       EXPECT_NEAR(sp.data()[i],
                   std::max(xd, 0.0) + std::log1p(std::exp(-std::fabs(xd))),
+                  2e-6);
+      EXPECT_NEAR(neg_log.data()[i], -std::log(pd), 2e-6);
+      EXPECT_NEAR(sbce.data()[i],
+                  std::max(xd, 0.0) - xd * yd +
+                      std::log1p(std::exp(-std::fabs(xd))),
                   2e-6);
     }
   }
@@ -262,13 +259,15 @@ TEST_F(KernelTest, VectorizedTranscendentalsMatchLibm) {
 
 TEST_F(KernelTest, TranscendentalIdentitiesAreExact) {
   const Tensor zero = Tensor::Zeros(2, 3);
-  const Tensor one = Tensor::Full(2, 3, 1.0f);
-  const Tensor exp0 = ops::Exp(zero);
-  const Tensor log1 = ops::Log(one);
+  // exp(0) == 1 exactly, so tanh(0) = (1 - e^0) / (1 + e^0) is exactly 0.
+  const Tensor tanh0 = ops::Tanh(zero);
+  // e^-100 saturates far below float epsilon, so softplus(-100) is
+  // 0 + log(1), and log(1) == 0 exactly.
+  const Tensor softplus_low = ops::Softplus(Tensor::Full(2, 3, -100.0f));
   const Tensor sig0 = ops::Sigmoid(zero);
-  for (std::int64_t i = 0; i < exp0.size(); ++i) {
-    EXPECT_EQ(exp0.data()[i], 1.0f);
-    EXPECT_EQ(log1.data()[i], 0.0f);
+  for (std::int64_t i = 0; i < zero.size(); ++i) {
+    EXPECT_EQ(tanh0.data()[i], 0.0f);
+    EXPECT_EQ(softplus_low.data()[i], 0.0f);
     EXPECT_EQ(sig0.data()[i], 0.5f);
   }
 }
@@ -561,12 +560,6 @@ TEST_F(KernelTest, FusedOpsPassGradcheckAtOneAndFourThreads) {
       const GradCheckResult r =
           CheckGradients([&] { return ops::WeightedSum(a, w); }, {a, w});
       EXPECT_TRUE(r.ok) << threads << " threads, WeightedSum: " << r.worst;
-    }
-    {
-      Tensor a = Tensor::Uniform(3, 9, -1.0f, 1.0f, &rng, /*requires_grad=*/true);
-      const GradCheckResult r =
-          CheckGradients([&] { return ops::SquaredNorm(a); }, {a});
-      EXPECT_TRUE(r.ok) << threads << " threads, SquaredNorm: " << r.worst;
     }
     {
       Tensor z = Tensor::Uniform(5, 3, -3.0f, 3.0f, &rng, /*requires_grad=*/true);

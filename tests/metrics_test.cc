@@ -1,5 +1,5 @@
 // Tests for the metrics library: AUC (exact values, ties, degenerate
-// inputs, invariance properties), log loss, calibration, summaries, and the
+// inputs, invariance properties), log loss, summaries, and the
 // Fig. 7 histogram.
 
 #include <cmath>
@@ -187,30 +187,6 @@ TEST(LogLossTest, PerfectPredictionsNearZero) {
   EXPECT_LT(metrics::LogLoss({0.999f, 0.001f}, {1, 0}), 0.01);
 }
 
-TEST(CalibrationTest, PerfectlyCalibratedIsSmall) {
-  // Predictions equal to the class rate per bin.
-  Rng rng(3);
-  std::vector<float> preds;
-  std::vector<std::uint8_t> labels;
-  for (int i = 0; i < 20000; ++i) {
-    const float p = rng.Uniform(0.05f, 0.95f);
-    preds.push_back(p);
-    labels.push_back(rng.Bernoulli(p) ? 1 : 0);
-  }
-  EXPECT_LT(metrics::CalibrationError(preds, labels), 0.03);
-}
-
-TEST(CalibrationTest, SystematicBiasIsDetected) {
-  Rng rng(4);
-  std::vector<float> preds;
-  std::vector<std::uint8_t> labels;
-  for (int i = 0; i < 10000; ++i) {
-    preds.push_back(0.8f);  // predicts 0.8, truth is 0.2
-    labels.push_back(rng.Bernoulli(0.2f) ? 1 : 0);
-  }
-  EXPECT_GT(metrics::CalibrationError(preds, labels), 0.5);
-}
-
 TEST(SummaryTest, MeanAndStddev) {
   const metrics::Summary s = metrics::Summarize({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(s.mean, 2.5);
@@ -282,17 +258,6 @@ TEST(HistogramTest, RenderMarksValueExactlyAtUpperBound) {
   // Above hi_ still renders nowhere.
   const std::string above = h.Render(20, {{1.25f, "beyond"}});
   EXPECT_EQ(above.find("beyond"), std::string::npos);
-}
-
-TEST(CalibrationTest, ExactZeroAndOnePredictionsStayInRange) {
-  // Predictions exactly 0.0 and 1.0 must land in the first/last bins (the
-  // 1.0*bins product indexes one past the end before clamping).
-  const std::vector<float> preds = {0.0f, 0.0f, 1.0f, 1.0f};
-  const std::vector<std::uint8_t> labels = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(metrics::CalibrationError(preds, labels), 0.0);
-  // Maximally miscalibrated at the boundaries: |0-1| and |1-0| in each bin.
-  const std::vector<std::uint8_t> wrong = {1, 1, 0, 0};
-  EXPECT_DOUBLE_EQ(metrics::CalibrationError(preds, wrong), 1.0);
 }
 
 TEST(HistogramTest, BinCenters) {

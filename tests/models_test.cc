@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -308,7 +310,12 @@ TEST(LossHelpersTest, CvrLossClickedOnlyIgnoresNonClicked) {
 
 TEST(LossHelpersTest, CvrLossClickedOnlyZeroWhenNoClicks) {
   data::SyntheticLogGenerator gen(TinyProfile());
-  data::Dataset nonclicked = gen.GenerateTrain().NonClickedSubset();
+  const data::Dataset train = gen.GenerateTrain();
+  std::vector<data::Example> rows;
+  for (const data::Example& e : train.examples()) {
+    if (e.click == 0) rows.push_back(e);
+  }
+  const data::Dataset nonclicked(train.name(), train.schema(), std::move(rows));
   const data::Batch batch = data::MakeContiguousBatch(nonclicked, 0, 32);
   models::Predictions preds;
   preds.cvr = Tensor::Full(32, 1, 0.5f, /*requires_grad=*/true);

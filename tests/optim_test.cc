@@ -139,11 +139,11 @@ TEST(AdamTest, ConvergesOnQuadratic) {
 TEST(AdamTest, StepCountAdvances) {
   Tensor w = Tensor::Scalar(1.0f, /*requires_grad=*/true);
   optim::Adam adam({w});
-  EXPECT_EQ(adam.step_count(), 0);
+  EXPECT_EQ(adam.ExportState().step, 0);
   w.grad()[0] = 1.0f;
   adam.Step();
   adam.Step();
-  EXPECT_EQ(adam.step_count(), 2);
+  EXPECT_EQ(adam.ExportState().step, 2);
 }
 
 TEST(AdamTest, SkipsParametersWithoutGradients) {

@@ -8,7 +8,7 @@
 //   3. Every op is bit-identical at *any* thread count: the GEMMs split
 //      rows whose values do not depend on the split, and the elementwise,
 //      row-wise and scatter ops and the full reductions (Sum, Mean,
-//      WeightedSum, SquaredNorm) are serial loops over the whole range.
+//      WeightedSum) are serial loops over the whole range.
 //
 // SetGrainCapForTesting(1) forces multi-chunk partitions on the small
 // tensors used here, so the threaded GEMM and optimizer paths genuinely
@@ -308,7 +308,7 @@ TEST(ParallelKernels, SumSelfReproducibleAtFourThreads) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(ops::Sum(a).item(), serial);
 }
 
-/// Sum, Mean, WeightedSum and SquaredNorm over 577 x 256 = 147712 elements
+/// Sum, Mean, WeightedSum and a sum of squares over 577 x 256 = 147712 elements
 /// (more than one 131072-element chunk) whose float result depends on the
 /// order of accumulation. The two leading terms add up to 2^24 + 1, the
 /// midpoint between two floats. In a serial double sum each tiny term
@@ -326,7 +326,7 @@ std::vector<float> FullReductions() {
   root.data()[1] = 1.0f;
   const Tensor ones = Tensor::Full(kRows, kCols, 1.0f);
   return {ops::Sum(a).item(), ops::Mean(a).item(),
-          ops::WeightedSum(a, ones).item(), ops::SquaredNorm(root).item()};
+          ops::WeightedSum(a, ones).item(), ops::Sum(ops::Square(root)).item()};
 }
 
 TEST(ParallelKernels, FullReductionsMatchSerialBitsAtFourThreads) {

@@ -16,6 +16,7 @@
 #include "nn/mlp.h"
 #include "nn/serialize.h"
 #include "optim/adam.h"
+#include "support/fault_fs.h"
 
 namespace dcmt {
 namespace {
@@ -189,7 +190,7 @@ TEST(AdamStateTest, RoundTripResumesBitExactly) {
   // Restore the checkpointed parameters and optimizer state; step 4 must now
   // match the never-serialized reference bit-for-bit.
   ASSERT_TRUE(adam_b.ImportState(saved));
-  EXPECT_EQ(adam_b.step_count(), 3);
+  EXPECT_EQ(adam_b.ExportState().step, 3);
   const auto& params = candidate.parameters();
   for (std::size_t k = 0; k < params.size(); ++k) {
     Tensor handle = params[k];

@@ -42,6 +42,7 @@
 #include "data/stream.h"
 #include "eval/trainer.h"
 #include "support/byte_flip.h"
+#include "support/fault_fs.h"
 #include "tensor/random.h"
 
 namespace dcmt {
@@ -107,17 +108,13 @@ data::StreamingDataset OpenOrDie(const std::string& dir,
   return dataset;
 }
 
-/// Shard `shard` of `dataset`, decoded and turned into rows.
-std::vector<data::Example> ReadRowsOrDie(const data::StreamingDataset& dataset,
-                                         int shard) {
+/// Shard `shard` of `dataset`, decoded.
+data::ShardColumns ReadColumnsOrDie(const data::StreamingDataset& dataset,
+                                    int shard) {
   data::ShardColumns columns;
   std::string error;
   EXPECT_TRUE(dataset.ReadShard(shard, &columns, &error)) << error;
-  std::vector<data::Example> rows;
-  for (std::int64_t r = 0; r < columns.size(); ++r) {
-    rows.push_back(columns.Row(r));
-  }
-  return rows;
+  return columns;
 }
 
 void ExpectExamplesEqual(const data::Example& a, const data::Example& b) {
@@ -291,7 +288,8 @@ TEST(StreamTest, ShardColumnsRoundTripEveryEncodedColumn) {
   const data::FeatureSchema& schema = drawn.schema();
   const std::string dir = TempDirFor("columns_roundtrip");
   const std::string path = dir + "/" + data::ShardFileName(0);
-  WriteFileOrDie(path, data::EncodeShardImage(schema, 0, rows));
+  WriteFileOrDie(path, data::EncodeShardImage(
+                           schema, 0, data::ShardColumns::FromRows(schema, rows)));
 
   data::ShardManifest manifest;
   manifest.schema = schema;
@@ -779,14 +777,14 @@ struct BadValueCase {
   const char* name;
   std::string column;
   const char* what;
-  std::function<void(std::vector<data::Example>*)> mutate;
+  std::function<void(data::ShardColumns*)> mutate;
 };
 
 /// Index of the first row at or after `from` matching `pred`.
-std::size_t FindRow(const std::vector<data::Example>& rows, std::size_t from,
-                    const std::function<bool(const data::Example&)>& pred) {
-  for (std::size_t r = from; r < rows.size(); ++r) {
-    if (pred(rows[r])) return r;
+std::size_t FindRow(const data::ShardColumns& rows, std::size_t from,
+                    const std::function<bool(std::size_t)>& pred) {
+  for (std::size_t r = from; r < rows.click.size(); ++r) {
+    if (pred(r)) return r;
   }
   ADD_FAILURE() << "no row matches";
   return 0;
@@ -795,45 +793,40 @@ std::size_t FindRow(const std::vector<data::Example>& rows, std::size_t from,
 std::vector<BadValueCase> BadValueCases(const data::FeatureSchema& schema) {
   const data::FieldSpec& deep = schema.deep_fields.back();
   const data::FieldSpec& wide = schema.wide_fields.front();
-  const auto click_no_conversion = [](const data::Example& e) {
-    return e.click == 1 && e.conversion == 0;
-  };
   return {
       {"deep id past vocab", "deep:" + deep.name, "id 1048576 is outside",
-       [](std::vector<data::Example>* rows) {
-         (*rows)[3].deep_ids.back() = 1 << 20;
-       }},
+       [](data::ShardColumns* rows) { rows->deep_ids.back()[3] = 1 << 20; }},
       {"negative wide id", "wide:" + wide.name, "id -1 is outside",
-       [](std::vector<data::Example>* rows) {
-         (*rows)[5].wide_ids.front() = -1;
-       }},
+       [](data::ShardColumns* rows) { rows->wide_ids.front()[5] = -1; }},
       {"click byte 2", "click", "label 2 is not 0 or 1",
-       [=](std::vector<data::Example>* rows) {
+       [](data::ShardColumns* rows) {
+         const auto click_no_conversion = [rows](std::size_t r) {
+           return rows->click[r] == 1 && rows->conversion[r] == 0;
+         };
          const std::size_t a = FindRow(*rows, 0, click_no_conversion);
          const std::size_t b = FindRow(*rows, a + 1, click_no_conversion);
-         (*rows)[a].click = 2;
-         (*rows)[b].click = 0;
+         rows->click[a] = 2;
+         rows->click[b] = 0;
        }},
       {"conversion without click", "conversion", "conversion without a click",
-       [](std::vector<data::Example>* rows) {
-         const std::size_t a = FindRow(*rows, 0, [](const data::Example& e) {
-           return e.click == 0;
+       [](data::ShardColumns* rows) {
+         const std::size_t a = FindRow(
+             *rows, 0, [rows](std::size_t r) { return rows->click[r] == 0; });
+         const std::size_t b = FindRow(*rows, 0, [rows](std::size_t r) {
+           return rows->conversion[r] == 1;
          });
-         const std::size_t b = FindRow(*rows, 0, [](const data::Example& e) {
-           return e.conversion == 1;
-         });
-         (*rows)[a].conversion = 1;
-         (*rows)[b].conversion = 0;
+         rows->conversion[a] = 1;
+         rows->conversion[b] = 0;
        }},
       {"oracle byte 2", "oracle_conversion", "label 2 is not 0 or 1",
-       [](std::vector<data::Example>* rows) {
-         const auto oracle = [](const data::Example& e) {
-           return e.oracle_conversion == 1;
+       [](data::ShardColumns* rows) {
+         const auto oracle = [rows](std::size_t r) {
+           return rows->oracle_conversion[r] == 1;
          };
          const std::size_t a = FindRow(*rows, 0, oracle);
          const std::size_t b = FindRow(*rows, a + 1, oracle);
-         (*rows)[a].oracle_conversion = 2;
-         (*rows)[b].oracle_conversion = 0;
+         rows->oracle_conversion[a] = 2;
+         rows->oracle_conversion[b] = 0;
        }},
   };
 }
@@ -843,12 +836,12 @@ TEST(StreamTest, ValidCrcShardWithBadValueIsRejected) {
   const std::string victim = dir + "/" + data::ShardFileName(1);
   const std::string original = ReadFileOrDie(victim);
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  const std::vector<data::Example> clean = ReadRowsOrDie(dataset, 1);
+  const data::ShardColumns clean = ReadColumnsOrDie(dataset, 1);
   std::string error;
 
   for (const BadValueCase& c : BadValueCases(dataset.schema())) {
     SCOPED_TRACE(c.name);
-    std::vector<data::Example> rows = clean;
+    data::ShardColumns rows = clean;
     c.mutate(&rows);
     WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
     const std::string want = victim + ": " + c.column + ": " + c.what;
@@ -883,8 +876,8 @@ TEST(StreamTest, TrainerAbortNamesTheBadShard) {
   const std::string dir = GenShardsOrDie("bad_value_train", 600, 192);
   const std::string victim = dir + "/" + data::ShardFileName(1);
   const data::StreamingDataset dataset = OpenOrDie(dir);
-  std::vector<data::Example> rows = ReadRowsOrDie(dataset, 1);
-  rows[3].deep_ids.back() = 1 << 20;
+  data::ShardColumns rows = ReadColumnsOrDie(dataset, 1);
+  rows.deep_ids.back()[3] = 1 << 20;
   WriteFileOrDie(victim, data::EncodeShardImage(dataset.schema(), 1, rows));
 
   // Fails closed in the trainer's batch-source check, naming the shard,

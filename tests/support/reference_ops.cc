@@ -29,8 +29,6 @@ Tensor WeightedSum(const Tensor& a, const Tensor& weights) {
   return Sum(Mul(a, weights));
 }
 
-Tensor SquaredNorm(const Tensor& a) { return Sum(Square(a)); }
-
 Tensor SigmoidBce(const Tensor& logits, const Tensor& target) {
   return BceLoss(Sigmoid(logits), target);
 }

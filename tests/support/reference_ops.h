@@ -18,8 +18,6 @@ namespace reference {
 Tensor Mean(const Tensor& a);
 /// WeightedSum as Sum(Mul(a, w)) — what ops::WeightedSum fuses.
 Tensor WeightedSum(const Tensor& a, const Tensor& weights);
-/// SquaredNorm as Sum(Square(a)) — what ops::SquaredNorm fuses.
-Tensor SquaredNorm(const Tensor& a);
 /// SigmoidBce as BceLoss(Sigmoid(z), y) — what ops::SigmoidBce fuses (equal
 /// within tolerance only: the composite clamps probabilities, the fused op
 /// computes in logit space).

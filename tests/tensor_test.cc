@@ -18,10 +18,7 @@ using ops::Add;
 using ops::AddScalar;
 using ops::BceLoss;
 using ops::ConcatCols;
-using ops::Div;
 using ops::EmbeddingLookup;
-using ops::Exp;
-using ops::Log;
 using ops::MatMul;
 using ops::Mean;
 using ops::Mul;
@@ -34,7 +31,6 @@ using ops::SliceCols;
 using ops::Softplus;
 using ops::SoftmaxRows;
 using ops::Square;
-using ops::SquaredNorm;
 using ops::Sub;
 using ops::Sum;
 using ops::SumRows;
@@ -319,10 +315,6 @@ TEST_P(BroadcastGradTest, AddSubMulDiv) {
     auto loss = [&]() { return Sum(Square(Mul(a, b))); };
     EXPECT_TRUE(CheckGradients(loss, {a, b}).ok) << "Mul " << param.label;
   }
-  {
-    auto loss = [&]() { return Sum(Div(a, b)); };
-    EXPECT_TRUE(CheckGradients(loss, {a, b}).ok) << "Div " << param.label;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -342,25 +334,17 @@ TEST(GradCheck, UnaryOps) {
   const std::vector<Case> cases = {
       {"sigmoid", [&] { return Sum(Sigmoid(a)); }},
       {"tanh", [&] { return Sum(Tanh(a)); }},
-      {"exp", [&] { return Sum(Exp(a)); }},
       {"neg", [&] { return Sum(Neg(a)); }},
       {"one_minus", [&] { return Sum(OneMinus(a)); }},
       {"square", [&] { return Sum(Square(a)); }},
       {"scale", [&] { return Sum(Scale(a, -2.5f)); }},
       {"add_scalar", [&] { return Sum(AddScalar(a, 1.5f)); }},
       {"softplus", [&] { return Sum(Softplus(a)); }},
-      {"squared_norm", [&] { return SquaredNorm(a); }},
   };
   for (const Case& c : cases) {
     const GradCheckResult r = CheckGradients(c.loss, {a});
     EXPECT_TRUE(r.ok) << c.name << ": " << r.worst;
   }
-}
-
-TEST(GradCheck, LogAwayFromZero) {
-  Tensor a = MakeInput(2, 3, 22, 0.5f, 2.0f);
-  auto loss = [&]() { return Sum(Log(a)); };
-  EXPECT_TRUE(CheckGradients(loss, {a}).ok);
 }
 
 TEST(GradCheck, AbsAwayFromKink) {

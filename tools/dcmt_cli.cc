@@ -714,7 +714,8 @@ int RouterBenchCmd(int argc, char** argv) {
   router_config.engine.queue_capacity =
       IntFlagAtLeast(flags, "queue-capacity", 1);
   const int total = IntFlagAtLeast(flags, "requests", 1);
-  const int clients = IntFlagAtLeast(flags, "clients", 1);
+  // No client without a request to send.
+  const int clients = std::min(IntFlagAtLeast(flags, "clients", 1), total);
   serve::Router router(std::move(initial), router_config);
 
   // Zipf CDF over the user population: a few hot users dominate, so the

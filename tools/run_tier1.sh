@@ -23,6 +23,14 @@ if [[ "${DCMT_SKIP_LINT:-0}" != "1" ]]; then
   "$BUILD_DIR"/tools/dcmt_lint --root=. src tests tools
 fi
 
+# Every build type compiles warning-free, not only Release: a Debug tree
+# builds dcmt_cli and the libraries under it with -Werror. Nothing in it
+# runs.
+cmake -B "${BUILD_DIR}-debug" -S . -DCMAKE_BUILD_TYPE=Debug -DDCMT_WERROR=ON \
+  -DDCMT_BUILD_TESTS=OFF -DDCMT_BUILD_BENCHMARKS=OFF -DDCMT_BUILD_EXAMPLES=OFF
+cmake --build "${BUILD_DIR}-debug" -j "$JOBS" --target dcmt_cli
+echo "debug -Werror build OK"
+
 # Sanitizer trees: configure <build>-<name> with -DDCMT_SANITIZE=<kind>
 # (warnings are errors there too), build it and run the whole ctest there.
 #   sanitized_ctest <name> <kind>
@@ -144,52 +152,47 @@ if [[ "${DCMT_SKIP_CONTINUAL:-0}" != "1" ]]; then
   echo "continual stage OK"
 fi
 
+# Runs one bench binary with its benchmark flags and writes its rows to
+# $BUILD_DIR/bench_<name>_raw.json for bench_to_json below.
+#   run_bench <binary> <name> [benchmark flags...]
+run_bench() {
+  local bin="$1" name="$2"
+  shift 2
+  "$BUILD_DIR/bench/$bin" "$@" \
+    --benchmark_out="$BUILD_DIR/bench_${name}_raw.json" \
+    --benchmark_out_format=json
+}
+
 # Interleaved repetitions here too: the 1/2/4-thread variants of a row are
 # tens of microseconds apart, and sequential-order turbo / thermal drift is
 # of the same size. Interleaving + averaging keeps the thread-scaling rows
 # comparable.
-"$BUILD_DIR"/bench/bench_parallel_scaling \
-  --benchmark_enable_random_interleaving=true \
-  --benchmark_repetitions=3 \
-  --benchmark_out="$BUILD_DIR"/bench_parallel_raw.json \
-  --benchmark_out_format=json
+run_bench bench_parallel_scaling parallel \
+  --benchmark_enable_random_interleaving=true --benchmark_repetitions=3
 # Per-kernel microbenches (DESIGN.md §14): tower-shape GEMMs, the
 # vectorized elementwise family, and each fused op next to its unfused
 # composite so the fusion win is tracked per kernel.
-"$BUILD_DIR"/bench/bench_kernels \
-  --benchmark_out="$BUILD_DIR"/bench_kernels_raw.json \
-  --benchmark_out_format=json
-"$BUILD_DIR"/bench/bench_obs_overhead \
-  --benchmark_out="$BUILD_DIR"/bench_obs_raw.json \
-  --benchmark_out_format=json
+run_bench bench_kernels kernels
+run_bench bench_obs_overhead obs
 # Interleaved repetitions: the taped-vs-frozen comparison is a few percent
 # at full batch, so ordering/thermal drift within one process can flip it;
 # random interleaving + mean-over-repetitions (bench_to_json averages
 # duplicate rows) keeps the comparison fair.
-"$BUILD_DIR"/bench/bench_serve \
-  --benchmark_enable_random_interleaving=true \
-  --benchmark_repetitions=3 \
-  --benchmark_out="$BUILD_DIR"/bench_serve_raw.json \
-  --benchmark_out_format=json
+run_bench bench_serve serve \
+  --benchmark_enable_random_interleaving=true --benchmark_repetitions=3
 # Streaming data path (DESIGN.md §15): shard encode/decode MB/s and the
 # prefetch-vs-serial epoch times (their ratio is the decode/assembly overlap
 # the prefetch thread buys).
-"$BUILD_DIR"/bench/bench_stream \
-  --benchmark_out="$BUILD_DIR"/bench_stream_raw.json \
-  --benchmark_out_format=json
+run_bench bench_stream stream
 # Router closed loop (DESIGN.md §16): one Zipf/diurnal run with a mid-run
 # hot swap; the three BM_RouterClosedLoop{P50,P99,P999} rows carry the
 # latency quantiles as manual time, so the fold below needs no
 # aggregate-parsing support in bench_to_json.
-"$BUILD_DIR"/bench/bench_router \
-  --benchmark_out="$BUILD_DIR"/bench_router_raw.json \
-  --benchmark_out_format=json
+run_bench bench_router router
 # Continual refresh cycle (DESIGN.md §17): the end-to-end price of a daily
 # refresh next to the serve-only baseline — their difference is the retrain
 # + republish machinery.
-"$BUILD_DIR"/bench/bench_continual \
-  --benchmark_out="$BUILD_DIR"/bench_continual_raw.json \
-  --benchmark_out_format=json
+run_bench bench_continual continual
 "$BUILD_DIR"/tools/bench_to_json "$BUILD_DIR"/bench_parallel_raw.json \
   "$BUILD_DIR"/bench_kernels_raw.json \
   "$BUILD_DIR"/bench_obs_raw.json "$BUILD_DIR"/bench_serve_raw.json \
